@@ -861,9 +861,11 @@ var experiments = []experiment{
 			adj := workloads.AdjInputs(adjN, 4*adjN, 24)
 			gOff := compileCase(workloads.AdjGatherSrc, adj, core.Options{NoIdxProp: true, Parallel: true, Workers: 4})
 			go4 := benchW(fmt.Sprintf("adjgather claims-off m=%d", 4*adjN), 4, func() { runP(gOff, adj.Inputs) })
-			gOn := compileCase(workloads.AdjGatherSrc, adj, core.Options{Parallel: true, Workers: 4})
-			gn := benchW(fmt.Sprintf("adjgather par w=%d", 4), 4, func() { runP(gOn, adj.Inputs) })
-			fmt.Printf("    checked/unchecked = %s\n", ratio(go4, gn))
+			for _, w := range workerCounts() {
+				gw := compileCase(workloads.AdjGatherSrc, adj, core.Options{Parallel: true, Workers: w})
+				gn := benchW(fmt.Sprintf("adjgather par w=%d", w), w, func() { runP(gw, adj.Inputs) })
+				fmt.Printf("    checked/unchecked(w=%d) = %s\n", w, ratio(go4, gn))
+			}
 
 			// Part 4: the fallback tax. A shuffled (non-CSR) entry order
 			// fails verification every run and takes the checked
@@ -939,15 +941,18 @@ var experiments = []experiment{
 				die(err)
 			})
 			// Emit mode is the true streaming shape (/evalstream ships
-			// chunks without materializing the result); its deterministic
-			// accounting is what the 25% wall gates.
+			// chunks without materializing the result). Its static bound
+			// is deterministic and is what the 25% wall gates; the
+			// observed peak, which depends on scheduling, never exceeds
+			// it.
 			rep, err := ps.RunStream(inputs, discard)
 			die(err)
 			record(fmt.Sprintf("stream peak-bytes n=%d", n), float64(rep.PeakBytes))
+			record(fmt.Sprintf("stream bound-bytes n=%d", n), float64(rep.BoundBytes))
 			record(fmt.Sprintf("stream materialized-bytes n=%d", n), float64(rep.MaterializedBytes))
 			fmt.Printf("  stages=%d chunk=%d window_d=%d chunks=%d\n", rep.Stages, rep.ChunkSize, rep.MaxDist, rep.Chunks)
-			fmt.Printf("  peak/materialized = %.1f%% (gate: <= 25%%), collect/materialized = %s, emit/materialized = %s\n",
-				100*float64(rep.PeakBytes)/float64(rep.MaterializedBytes), ratio(c, m), ratio(e, m))
+			fmt.Printf("  bound/materialized = %.1f%% (gate: <= 25%%), peak/materialized = %.1f%%, collect/materialized = %s, emit/materialized = %s\n",
+				100*float64(rep.BoundBytes)/float64(rep.MaterializedBytes), 100*float64(rep.PeakBytes)/float64(rep.MaterializedBytes), ratio(c, m), ratio(e, m))
 		},
 	},
 }

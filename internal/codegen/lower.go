@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"arraycomp/internal/analysis"
@@ -215,7 +217,7 @@ func Lower(res *analysis.Result, sched *schedule.Result, external map[string]ana
 			Name: lw.selfIR, B: boundsToRuntime(res.Bounds), Role: loopir.RoleOut, TrackDefs: lw.declTrack,
 		})
 	}
-	for name := range res.ExternalReads {
+	for _, name := range slices.Sorted(maps.Keys(res.ExternalReads)) {
 		b, ok := external[name]
 		if !ok {
 			return nil, fmt.Errorf("codegen: no bounds known for external array %q", name)

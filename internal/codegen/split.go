@@ -130,8 +130,12 @@ func antiSatisfied(paths map[int]schedPath, dep analysis.AntiDep) bool {
 func (lw *lowerer) planSplits() error {
 	paths := buildPaths(lw.sched)
 	violated := map[*analysis.ReadRef][]analysis.AntiDep{}
+	var reads []*analysis.ReadRef // in first-violation order, so the plan is deterministic
 	for _, dep := range lw.res.AntiDeps {
 		if !antiSatisfied(paths, dep) {
+			if violated[dep.Read] == nil {
+				reads = append(reads, dep.Read)
+			}
 			violated[dep.Read] = append(violated[dep.Read], dep)
 		}
 	}
@@ -140,7 +144,8 @@ func (lw *lowerer) planSplits() error {
 		return nil
 	}
 	var copyReads []*analysis.ReadRef
-	for rd, deps := range violated {
+	for _, rd := range reads {
+		deps := violated[rd]
 		tier := lw.classifySplit(paths, rd, deps)
 		switch tier {
 		case "scalar":

@@ -25,6 +25,10 @@ type frame struct {
 	floats []float64
 	arrays []*runtime.Strict
 	defs   [][]bool
+	// shift holds, per window slot of a stream stage, how far the
+	// window has slid: the window stores the array's materialized
+	// offset off at index off-shift. Nil outside stream stages.
+	shift []int64
 	// workers is the parallel worker budget for this run, resolved at
 	// Run time from Exec.SetWorkers (0 means GOMAXPROCS then).
 	workers int
@@ -49,6 +53,9 @@ type compiler struct {
 	// hook is shared between the compiled BVerify closures and the Exec
 	// so SetVerifyHook (called after Compile) still reaches them.
 	hook *verifyHookBox
+	// window marks the array slots a stream stage reads and writes
+	// through a sliding window (see stage.go); nil for whole programs.
+	window []bool
 }
 
 // verifyHookBox lets an observer record runtime verification verdicts.
@@ -88,15 +95,37 @@ func (ex *Exec) SetVerifyHook(fn func(claims idxprop.Claims, res idxprop.VerifyR
 // Compile translates the program to closures. It validates names and
 // arities; invalid IR is reported as an error.
 func Compile(p *Program) (ex *Exec, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ee, ok := r.(*ExecError); ok {
-				ex, err = nil, ee
-				return
-			}
+	defer catchExec(&err)
+	c := newCompiler(p)
+	nInts, nFloats := len(c.intSlots), len(c.floatSlots)
+	c.fp.p.New = func() any {
+		return &frame{ints: make([]int64, nInts), floats: make([]float64, nFloats)}
+	}
+	fns := c.compileStmts(p.Stmts)
+	return &Exec{
+		prog:       p,
+		run:        fns,
+		intSlots:   c.intSlots,
+		floatSlots: c.floatSlots,
+		arraySlots: c.arraySlots,
+		hook:       c.hook,
+	}, nil
+}
+
+// catchExec turns an ExecError panic — a compile-time rejection or a
+// runtime failure — into err. Deferred; any other panic propagates.
+func catchExec(err *error) {
+	if r := recover(); r != nil {
+		ee, ok := r.(*ExecError)
+		if !ok {
 			panic(r)
 		}
-	}()
+		*err = ee
+	}
+}
+
+// newCompiler assigns the program's array, scalar and register slots.
+func newCompiler(p *Program) *compiler {
 	c := &compiler{
 		prog:       p,
 		intSlots:   map[string]int{},
@@ -118,19 +147,7 @@ func Compile(p *Program) (ex *Exec, err error) {
 		c.floatSlots[s] = i
 	}
 	c.collectLoopVars(p.Stmts)
-	nInts, nFloats := len(c.intSlots), len(c.floatSlots)
-	c.fp.p.New = func() any {
-		return &frame{ints: make([]int64, nInts), floats: make([]float64, nFloats)}
-	}
-	fns := c.compileStmts(p.Stmts)
-	return &Exec{
-		prog:       p,
-		run:        fns,
-		intSlots:   c.intSlots,
-		floatSlots: c.floatSlots,
-		arraySlots: c.arraySlots,
-		hook:       c.hook,
-	}, nil
+	return c
 }
 
 func (c *compiler) collectLoopVars(stmts []Stmt) {
@@ -171,43 +188,7 @@ func runAll(fns []stmtFn, f *frame) {
 func (c *compiler) compileStmt(s Stmt) stmtFn {
 	switch x := s.(type) {
 	case *Loop:
-		slot := c.intSlots[x.Var]
-		if x.Step == 0 {
-			c.fail("loop over %q has zero step", x.Var)
-		}
-		trip := tripCount(x.From, x.To, x.Step)
-		inds := make([]cInd, len(x.Inds))
-		for i, ind := range x.Inds {
-			inds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
-		}
-		if x.Par != nil {
-			seq := c.compileSeqLoop(x, slot, inds)
-			var par stmtFn
-			switch x.Par.Kind {
-			case ParShard:
-				par = c.compileShardLoop(x, slot, x.From, x.Step, trip, inds, seq)
-			case ParMonoShard:
-				par = c.compileMonoShardLoop(x, slot, x.From, x.Step, trip, inds, seq)
-			case ParTile, ParWavefront:
-				par = c.compileTiledNest(x, slot, x.From, trip, inds, seq)
-			case ParChains:
-				if x.Par.Chains >= 2 {
-					par = c.compileChainsLoop(x, slot, x.From, x.Step, trip, inds, seq)
-				}
-			}
-			if par != nil {
-				return par
-			}
-			return seq
-		}
-		// Legacy gate: a dependence-free loop the planner did not
-		// schedule (NoOptimize, or a nest shape it does not model)
-		// still shards when the work warrants it.
-		if x.Parallel && parWorthwhile(trip, estimateWork(x.Body)) {
-			seq := c.compileSeqLoop(x, slot, inds)
-			return c.compileShardLoop(x, slot, x.From, x.Step, trip, inds, seq)
-		}
-		return c.compileSeqLoop(x, slot, inds)
+		return c.scheduleLoop(x, c.compileLoop(x))
 	case *If:
 		cond := c.compileBool(x.Cond)
 		then := c.compileStmts(x.Then)
@@ -269,50 +250,120 @@ func (c *compiler) compileStmt(s Stmt) stmtFn {
 	return nil
 }
 
-// compileSeqLoop compiles a loop's plain sequential execution — the
-// specialized fast path when the body shape allows it, otherwise the
-// generic direction-aware loop. Parallel executors also use this as
-// their single-worker fallback.
-func (c *compiler) compileSeqLoop(x *Loop, slot int, inds []cInd) stmtFn {
-	from, to, step := x.From, x.To, x.Step
-	trip := tripCount(from, to, step)
-	if fn := c.compileFastLoop(x, slot, inds); fn != nil {
-		return fn
-	}
-	if fn := c.compileStencilLoop(x, slot, inds); fn != nil {
-		return fn
-	}
-	body := c.compileStmts(x.Body)
-	if len(inds) > 0 {
-		return func(f *frame) {
-			for i := range inds {
-				f.ints[inds[i].slot] = inds[i].init(f)
-			}
-			for v, n := from, trip; n > 0; n-- {
-				f.ints[slot] = v
-				runAll(body, f)
-				v += step
-				for i := range inds {
-					f.ints[inds[i].slot] += inds[i].step
-				}
+// scheduleLoop wraps a compiled loop in the executor its schedule
+// asks for: a parallel schedule over the loop's range kernel, or the
+// kernel over the whole trip count.
+func (c *compiler) scheduleLoop(x *Loop, l *cLoop) stmtFn {
+	seq := func(f *frame) { l.run(f, 0, l.trip) }
+	if x.Par != nil {
+		var par stmtFn
+		switch x.Par.Kind {
+		case ParShard:
+			par = c.compileShardLoop(l, seq)
+		case ParMonoShard:
+			par = c.compileMonoShardLoop(x, l, seq)
+		case ParTile, ParWavefront:
+			par = c.compileTiledNest(x, l, seq)
+		case ParChains:
+			if x.Par.Chains >= 2 {
+				par = c.compileChainsLoop(l, x.Par.Chains, seq)
 			}
 		}
-	}
-	if step > 0 {
-		return func(f *frame) {
-			for v := from; v <= to; v += step {
-				f.ints[slot] = v
-				runAll(body, f)
-			}
+		if par != nil {
+			return par
 		}
+		return seq
 	}
-	return func(f *frame) {
-		for v := from; v >= to; v += step {
-			f.ints[slot] = v
-			runAll(body, f)
-		}
+	// Legacy gate: a dependence-free loop the planner did not
+	// schedule (NoOptimize, or a nest shape it does not model)
+	// still shards when the work warrants it.
+	if x.Parallel && parWorthwhile(l.trip, estimateWork(x.Body)) {
+		return c.compileShardLoop(l, seq)
+	}
+	return seq
+}
+
+// rangeFn is a loop's range kernel: it runs iterations t0 … t0+n-1 of
+// the loop in sequential order, where iteration t binds the loop
+// variable to From + t·Step. Every executor runs a loop through its one
+// kernel — sequential execution, shard chunks, mono-shard ranges, tile
+// rows and stream chunks alike.
+type rangeFn func(f *frame, t0, n int64)
+
+// cLoop is a compiled loop: its range kernel plus what the parallel
+// executors need to split the iteration space and rank failures.
+type cLoop struct {
+	slot             int // loop-variable register
+	from, step, trip int64
+	inds             []cInd
+	// body is the generic kernel's compiled body; nil when the kernel
+	// is specialized. inner is the body's last loop, whose kernel a
+	// tiled nest runs on each tile row.
+	body  []stmtFn
+	inner *cLoop
+	run   rangeFn
+}
+
+// rank is the iteration a failing kernel call was running. Only the
+// generic kernel can fail, and it keeps the loop-variable register
+// current, so the rank is read back from there.
+func (l *cLoop) rank(f *frame) int64 { return (f.ints[l.slot] - l.from) / l.step }
+
+// bind sets the loop variable and every induction register to their
+// values at iteration t.
+func (l *cLoop) bind(f *frame, t int64) {
+	f.ints[l.slot] = l.from + t*l.step
+	for i := range l.inds {
+		f.ints[l.inds[i].slot] = l.inds[i].init(f) + t*l.inds[i].step
 	}
 }
+
+// compileLoop compiles a loop's body once into its range kernel,
+// chosen by the body's shape: the unit-stride copy, the stencil row
+// kernel, or the generic closure loop.
+func (c *compiler) compileLoop(x *Loop) *cLoop {
+	if x.Step == 0 {
+		c.fail("loop over %q has zero step", x.Var)
+	}
+	l := &cLoop{slot: c.intSlots[x.Var], from: x.From, step: x.Step, trip: tripCount(x.From, x.To, x.Step)}
+	l.inds = make([]cInd, len(x.Inds))
+	for i, ind := range x.Inds {
+		l.inds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
+	}
+	if l.run = c.compileFastLoop(x, l.inds); l.run != nil {
+		return l
+	}
+	if l.run = c.compileStencilLoop(x, l.inds); l.run != nil {
+		return l
+	}
+	l.body = make([]stmtFn, len(x.Body))
+	for i, st := range x.Body {
+		if in, ok := st.(*Loop); ok {
+			l.inner = c.compileLoop(in)
+			l.body[i] = c.scheduleLoop(in, l.inner)
+		} else {
+			l.body[i] = c.compileStmt(st)
+		}
+	}
+	slot, from, step, inds, body := l.slot, l.from, l.step, l.inds, l.body
+	l.run = func(f *frame, t0, n int64) {
+		l.bind(f, t0)
+		v := from + t0*step
+		for ; n > 0; n-- {
+			f.ints[slot] = v
+			runAll(body, f)
+			v += step
+			for i := range inds {
+				f.ints[inds[i].slot] += inds[i].step
+			}
+		}
+	}
+	return l
+}
+
+// windowed reports whether an array slot is a stream stage's sliding
+// window rather than a materialized array.
+func (c *compiler) windowed(slot int) bool { return c.window != nil && c.window[slot] }
 
 func (c *compiler) arraySlot(name string) int {
 	slot, ok := c.arraySlots[name]
@@ -387,6 +438,14 @@ func (c *compiler) compileAssign(x *Assign) stmtFn {
 	name := x.Array
 	b := decl.B
 	track := decl.TrackDefs && !x.NoTrack
+	if c.windowed(slot) {
+		if x.Accumulate != nil || x.CheckCollision || track {
+			c.fail("window slot %q takes plain stores only", x.Array)
+		}
+		return func(f *frame) {
+			f.arrays[slot].Data[offFn(f)-f.shift[slot]] = rhs(f)
+		}
+	}
 	switch {
 	case x.Accumulate != nil:
 		comb := x.Accumulate
@@ -468,6 +527,9 @@ func (c *compiler) compileInt(e IntExpr) intFn {
 		}
 	case *IIdx:
 		slot, offFn := c.compileOffset(x.Array, x.Subs, nil, x.CheckBounds)
+		if c.windowed(slot) {
+			c.fail("subscripted subscript through window slot %q", x.Array)
+		}
 		prog, name := c.prog.Name, x.Array
 		if x.CheckBounds {
 			return func(f *frame) int64 {
@@ -542,6 +604,12 @@ func (c *compiler) compileFloat(e VExpr) floatFn {
 		return func(f *frame) float64 { return f.floats[slot] }
 	case *ARef:
 		slot, offFn := c.compileOffset(x.Array, x.Subs, x.Off, x.CheckBounds)
+		if c.windowed(slot) {
+			if x.CheckDefined {
+				c.fail("window slot %q has no definedness bitmap", x.Array)
+			}
+			return func(f *frame) float64 { return f.arrays[slot].Data[offFn(f)-f.shift[slot]] }
+		}
 		if x.CheckDefined {
 			if !c.prog.Arrays[slot].TrackDefs {
 				c.fail("CheckDefined read of %q requires TrackDefs", x.Array)

@@ -82,15 +82,7 @@ func (ex *Exec) RunResult(inputs map[string]*runtime.Strict) (*runtime.Strict, e
 }
 
 func (ex *Exec) exec(f *frame) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ee, ok := r.(*ExecError); ok {
-				err = ee
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer catchExec(&err)
 	runAll(ex.run, f)
 	return nil
 }

@@ -32,7 +32,7 @@ type sfn func(f *frame, o int64) float64
 // body reads them — all accesses are offset-form and VFromInt is
 // rejected), and evaluates the closure tree in the exact operation
 // order of the generic path, so results are bitwise identical.
-func (c *compiler) compileStencilLoop(x *Loop, slot int, inds []cInd) stmtFn {
+func (c *compiler) compileStencilLoop(x *Loop, inds []cInd) rangeFn {
 	if x.Sten == nil || x.Step != 1 || len(x.Body) != 1 {
 		return nil
 	}
@@ -53,15 +53,16 @@ func (c *compiler) compileStencilLoop(x *Loop, slot int, inds []cInd) stmtFn {
 	if body == nil {
 		return nil
 	}
-	trip := tripCount(x.From, x.To, x.Step)
-	if trip <= 0 {
-		return nil
-	}
-	return func(f *frame) {
+	win := c.windowed(dstSlot)
+	return func(f *frame, t0, n int64) {
 		data := f.arrays[dstSlot].Data
-		o := dInit(f)
-		for n := trip; n > 0; n-- {
-			data[o+dOff] = body(f, o)
+		d := dOff
+		if win {
+			d -= f.shift[dstSlot]
+		}
+		o := dInit(f) + t0
+		for ; n > 0; n-- {
+			data[o+d] = body(f, o)
 			o++
 		}
 	}
@@ -96,6 +97,9 @@ func (c *compiler) compileStencilExpr(e VExpr, base string) sfn {
 			return nil
 		}
 		d := lin.Const
+		if c.windowed(slot) {
+			return func(f *frame, o int64) float64 { return f.arrays[slot].Data[o+d-f.shift[slot]] }
+		}
 		return func(f *frame, o int64) float64 { return f.arrays[slot].Data[o+d] }
 	case *VBin:
 		l := c.compileStencilExpr(x.L, base)
@@ -125,9 +129,9 @@ func (c *compiler) compileStencilExpr(e VExpr, base string) sfn {
 }
 
 // compileFastLoop recognizes the unit-stride copy shape and returns a
-// specialized executor, or nil when the loop needs the generic path.
+// specialized kernel, or nil when the loop needs the generic path.
 // inds are the loop's compiled induction registers, in x.Inds order.
-func (c *compiler) compileFastLoop(x *Loop, slot int, inds []cInd) stmtFn {
+func (c *compiler) compileFastLoop(x *Loop, inds []cInd) rangeFn {
 	if len(x.Body) != 1 {
 		return nil
 	}
@@ -159,14 +163,20 @@ func (c *compiler) compileFastLoop(x *Loop, slot int, inds []cInd) stmtFn {
 	if !ok {
 		return nil
 	}
-	trip := tripCount(x.From, x.To, x.Step)
-	if trip <= 0 {
-		return nil
-	}
-	return func(f *frame) {
-		do := dInit(f) + dOff
-		so := sInit(f) + sOff
-		copy(f.arrays[dstSlot].Data[do:do+trip], f.arrays[srcSlot].Data[so:so+trip])
+	dWin, sWin := c.windowed(dstSlot), c.windowed(srcSlot)
+	return func(f *frame, t0, n int64) {
+		if n <= 0 {
+			return
+		}
+		do := dInit(f) + dOff + t0
+		so := sInit(f) + sOff + t0
+		if dWin {
+			do -= f.shift[dstSlot]
+		}
+		if sWin {
+			so -= f.shift[srcSlot]
+		}
+		copy(f.arrays[dstSlot].Data[do:do+n], f.arrays[srcSlot].Data[so:so+n])
 	}
 }
 

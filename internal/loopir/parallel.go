@@ -131,9 +131,10 @@ func tripCount(from, to, step int64) int64 {
 }
 
 // cInd is a compiled induction register: an entry-time base value and
-// a constant per-iteration step. Sequential loops advance the slot in
-// place; parallel workers rebind it per iteration as base + t·step so
-// no sequential carry is needed.
+// a constant per-iteration step. A range kernel starting at iteration
+// t0 binds it to base + t0·step and then advances it in place, so a
+// chunk, tile row or stream chunk needs no carry from the iterations
+// before it.
 type cInd struct {
 	slot int
 	init intFn
@@ -154,55 +155,46 @@ func workersFor(f *frame, limit int64) int {
 	return w
 }
 
+// recoverRank records a worker's runtime failure, ranked by rank, and
+// swallows it; any other panic propagates. Deferred by every worker.
+func recoverRank(perr *parError, rank func() int64) {
+	if r := recover(); r != nil {
+		ee, ok := r.(*ExecError)
+		if !ok {
+			panic(r)
+		}
+		perr.record(rank(), ee)
+	}
+}
+
 // compileShardLoop splits a dependence-free loop's [0..trip) iteration
-// space into one contiguous chunk per worker. seq is the sequential
-// fallback used when the run has a single worker.
-func (c *compiler) compileShardLoop(x *Loop, slot int, from, step, trip int64, inds []cInd, seq stmtFn) stmtFn {
-	body := c.compileStmts(x.Body)
+// space into one contiguous chunk per worker, each run by the loop's
+// range kernel. seq is the sequential fallback used when the run has a
+// single worker.
+func (c *compiler) compileShardLoop(l *cLoop, seq stmtFn) stmtFn {
 	fp := c.fp
+	trip := l.trip
 	return func(f *frame) {
 		w := workersFor(f, trip)
 		if w <= 1 {
 			seq(f)
 			return
 		}
-		bases := make([]int64, len(inds))
-		for i := range inds {
-			bases[i] = inds[i].init(f)
-		}
 		chunk := (trip + int64(w) - 1) / int64(w)
 		errs := make([]parError, w)
 		runParallel(w, func(wi int) {
 			lo := int64(wi) * chunk
-			hi := lo + chunk
-			if hi > trip {
-				hi = trip
-			}
+			hi := min(lo+chunk, trip)
 			if lo >= hi {
 				return
 			}
 			wf := fp.get(f)
 			defer fp.put(wf)
-			var t int64
-			defer func() {
-				if r := recover(); r != nil {
-					ee, ok := r.(*ExecError)
-					if !ok {
-						panic(r)
-					}
-					// The rest of this chunk is skipped; its
-					// iterations all follow t, so t is the chunk's
-					// first failure.
-					errs[wi].record(t, ee)
-				}
-			}()
-			for t = lo; t < hi; t++ {
-				wf.ints[slot] = from + t*step
-				for i := range inds {
-					wf.ints[inds[i].slot] = bases[i] + t*inds[i].step
-				}
-				runAll(body, wf)
-			}
+			// The rest of the chunk is skipped after a failure; its
+			// iterations all follow the failing one, so that is the
+			// chunk's first failure.
+			defer recoverRank(&errs[wi], func() int64 { return l.rank(wf) })
+			l.run(wf, lo, hi-lo)
 		})
 		raiseMin(errs)
 	}
@@ -218,38 +210,28 @@ func (c *compiler) compileShardLoop(x *Loop, slot int, from, step, trip int64, i
 // sequential left-to-right accumulation. Every worker computes the
 // boundary adjustment with the same pure function, so adjacent workers
 // agree on their shared boundary without communicating.
-func (c *compiler) compileMonoShardLoop(x *Loop, slot int, from, step, trip int64, inds []cInd, seq stmtFn) stmtFn {
+func (c *compiler) compileMonoShardLoop(x *Loop, l *cLoop, seq stmtFn) stmtFn {
 	if x.Par.AlignOn == nil {
 		return nil
 	}
 	align := c.compileInt(x.Par.AlignOn)
-	body := c.compileStmts(x.Body)
 	fp := c.fp
+	trip := l.trip
 	return func(f *frame) {
 		w := workersFor(f, trip)
 		if w <= 1 {
 			seq(f)
 			return
 		}
-		bases := make([]int64, len(inds))
-		for i := range inds {
-			bases[i] = inds[i].init(f)
-		}
 		chunk := (trip + int64(w) - 1) / int64(w)
 		errs := make([]parError, w)
 		runParallel(w, func(wi int) {
 			wf := fp.get(f)
 			defer fp.put(wf)
-			var t int64
-			bind := func(p int64) {
-				wf.ints[slot] = from + p*step
-				for i := range inds {
-					wf.ints[inds[i].slot] = bases[i] + p*inds[i].step
-				}
-			}
+			// Probing binds the loop variable and registers at the probe
+			// point, so a failing probe ranks there too.
 			alignAt := func(p int64) int64 {
-				t = p // failures during probing report the probe point
-				bind(p)
+				l.bind(wf, p)
 				return align(wf)
 			}
 			advance := func(p int64) int64 {
@@ -258,24 +240,11 @@ func (c *compiler) compileMonoShardLoop(x *Loop, slot int, from, step, trip int6
 				}
 				return p
 			}
-			defer func() {
-				if r := recover(); r != nil {
-					ee, ok := r.(*ExecError)
-					if !ok {
-						panic(r)
-					}
-					errs[wi].record(t, ee)
-				}
-			}()
+			defer recoverRank(&errs[wi], func() int64 { return l.rank(wf) })
 			lo := advance(int64(wi) * chunk)
-			hi := int64(wi+1) * chunk
-			if hi > trip {
-				hi = trip
-			}
-			hi = advance(hi)
-			for t = lo; t < hi; t++ {
-				bind(t)
-				runAll(body, wf)
+			hi := advance(min(int64(wi+1)*chunk, trip))
+			if lo < hi {
+				l.run(wf, lo, hi-lo)
 			}
 		})
 		raiseMin(errs)
@@ -286,19 +255,13 @@ func (c *compiler) compileMonoShardLoop(x *Loop, slot int, from, step, trip int6
 // constant-distance recurrence concurrently: all carried distances are
 // multiples of g, so iterations t and t' only depend on each other when
 // t ≡ t' (mod g), and each chain is executed in order by one worker.
-func (c *compiler) compileChainsLoop(x *Loop, slot int, from, step, trip int64, inds []cInd, seq stmtFn) stmtFn {
-	g := x.Par.Chains
-	body := c.compileStmts(x.Body)
+func (c *compiler) compileChainsLoop(l *cLoop, g int64, seq stmtFn) stmtFn {
 	fp := c.fp
 	return func(f *frame) {
 		w := workersFor(f, g)
 		if w <= 1 {
 			seq(f)
 			return
-		}
-		bases := make([]int64, len(inds))
-		for i := range inds {
-			bases[i] = inds[i].init(f)
 		}
 		errs := make([]parError, w)
 		runParallel(w, func(wi int) {
@@ -310,22 +273,9 @@ func (c *compiler) compileChainsLoop(x *Loop, slot int, from, step, trip int64, 
 				// keep running, so the globally first failure is
 				// always reached and recorded.
 				func() {
-					var t int64
-					defer func() {
-						if r := recover(); r != nil {
-							ee, ok := r.(*ExecError)
-							if !ok {
-								panic(r)
-							}
-							errs[wi].record(t, ee)
-						}
-					}()
-					for t = r; t < trip; t += g {
-						wf.ints[slot] = from + t*step
-						for i := range inds {
-							wf.ints[inds[i].slot] = bases[i] + t*inds[i].step
-						}
-						runAll(body, wf)
+					defer recoverRank(&errs[wi], func() int64 { return l.rank(wf) })
+					for t := r; t < l.trip; t += g {
+						l.run(wf, t, 1)
 					}
 				}()
 			}
@@ -336,18 +286,14 @@ func (c *compiler) compileChainsLoop(x *Loop, slot int, from, step, trip int64, 
 
 // tiledNest is the compiled form of a 2-D nest scheduled as cache
 // tiles: the outer loop, optional per-row prefix statements, and the
-// inner loop whose body is the tile kernel. Both loops step by +1.
+// inner loop whose range kernel runs each tile row. Both loops step by
+// +1.
 type tiledNest struct {
-	fp        *framePool
-	oSlot     int
-	oFrom, ni int64
-	oInds     []cInd
-	prefix    []stmtFn
-	iSlot     int
-	iFrom, nj int64
-	iInds     []cInd
-	body      []stmtFn
-	tI, tJ    int64
+	fp     *framePool
+	outer  *cLoop
+	prefix []stmtFn
+	inner  *cLoop
+	tI, tJ int64
 }
 
 // runTile executes tile (bi,bj) on the worker frame wf: rows in order,
@@ -357,54 +303,33 @@ type tiledNest struct {
 // of the same worker still run, which guarantees the globally first
 // failure is reached regardless of tile-to-worker assignment.
 func (tn *tiledNest) runTile(wf *frame, bi, bj int64, oBases []int64, perr *parError) {
-	iLo := tn.oFrom + bi*tn.tI
-	iHi := iLo + tn.tI
-	if last := tn.oFrom + tn.ni; iHi > last {
-		iHi = last
-	}
-	jLo := tn.iFrom + bj*tn.tJ
-	jHi := jLo + tn.tJ
-	if last := tn.iFrom + tn.nj; jHi > last {
-		jHi = last
-	}
-	var i, j int64
+	o, in := tn.outer, tn.inner
+	iLo := bi * tn.tI
+	iHi := min(iLo+tn.tI, o.trip)
+	jLo := bj * tn.tJ
+	jN := min(jLo+tn.tJ, in.trip) - jLo
+	var i int64
 	inPrefix := false
-	defer func() {
-		if r := recover(); r != nil {
-			ee, ok := r.(*ExecError)
-			if !ok {
-				panic(r)
-			}
-			// Rank iterations so a row's prefix sorts after the
-			// previous row's last point and before the row's own
-			// points.
-			rank := (i - tn.oFrom) * (tn.nj + 1)
-			if !inPrefix {
-				rank += 1 + (j - tn.iFrom)
-			}
-			perr.record(rank, ee)
+	// Rank iterations so a row's prefix sorts after the previous row's
+	// last point and before the row's own points.
+	defer recoverRank(perr, func() int64 {
+		rank := i * (in.trip + 1)
+		if !inPrefix {
+			rank += 1 + in.rank(wf)
 		}
-	}()
+		return rank
+	})
 	for i = iLo; i < iHi; i++ {
-		wf.ints[tn.oSlot] = i
-		for r := range tn.oInds {
-			wf.ints[tn.oInds[r].slot] = oBases[r] + (i-tn.oFrom)*tn.oInds[r].step
+		wf.ints[o.slot] = o.from + i
+		for r := range o.inds {
+			wf.ints[o.inds[r].slot] = oBases[r] + i*o.inds[r].step
 		}
 		if bj == 0 && len(tn.prefix) > 0 {
 			inPrefix = true
 			runAll(tn.prefix, wf)
 			inPrefix = false
 		}
-		for r := range tn.iInds {
-			wf.ints[tn.iInds[r].slot] = tn.iInds[r].init(wf) + (jLo-tn.iFrom)*tn.iInds[r].step
-		}
-		for j = jLo; j < jHi; j++ {
-			wf.ints[tn.iSlot] = j
-			runAll(tn.body, wf)
-			for r := range tn.iInds {
-				wf.ints[tn.iInds[r].slot] += tn.iInds[r].step
-			}
-		}
+		in.run(wf, jLo, jN)
 	}
 }
 
@@ -415,48 +340,33 @@ func (tn *tiledNest) runTile(wf *frame, bi, bj int64, oBases []int64, perr *parE
 // by the planner's legality check) crosses a completed diagonal.
 // Returns nil when the nest shape is not the one the planner scheduled
 // (defensive — the caller then falls back to sequential execution).
-func (c *compiler) compileTiledNest(x *Loop, slot int, from, trip int64, inds []cInd, seq stmtFn) stmtFn {
-	if x.Step != 1 || len(x.Body) == 0 {
+func (c *compiler) compileTiledNest(x *Loop, l *cLoop, seq stmtFn) stmtFn {
+	if x.Step != 1 || len(x.Body) == 0 || l.body == nil {
 		return nil
 	}
-	inner, ok := x.Body[len(x.Body)-1].(*Loop)
-	if !ok || inner.Step != 1 {
+	innerX, ok := x.Body[len(x.Body)-1].(*Loop)
+	if !ok || innerX.Step != 1 {
 		return nil
 	}
 	sched := x.Par
 	if sched.TileI < 1 || sched.TileJ < 1 {
 		return nil
 	}
-	iSlot := c.intSlots[inner.Var]
-	iTrip := tripCount(inner.From, inner.To, inner.Step)
-	iInds := make([]cInd, len(inner.Inds))
-	for i, ind := range inner.Inds {
-		iInds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
-	}
 	tn := &tiledNest{
 		fp:     c.fp,
-		oSlot:  slot,
-		oFrom:  from,
-		ni:     trip,
-		oInds:  inds,
-		prefix: c.compileStmts(x.Body[:len(x.Body)-1]),
-		iSlot:  iSlot,
-		iFrom:  inner.From,
-		nj:     iTrip,
-		iInds:  iInds,
-		body:   c.compileStmts(inner.Body),
+		outer:  l,
+		prefix: l.body[:len(l.body)-1],
+		inner:  l.inner,
 		tI:     sched.TileI,
 		tJ:     sched.TileJ,
 	}
+	trip, iTrip := l.trip, tn.inner.trip
 	nti := (trip + tn.tI - 1) / tn.tI
 	ntj := (iTrip + tn.tJ - 1) / tn.tJ
 	wavefront := sched.Kind == ParWavefront
 	maxPar := nti * ntj
 	if wavefront {
-		maxPar = nti
-		if ntj < nti {
-			maxPar = ntj
-		}
+		maxPar = min(nti, ntj)
 	}
 	return func(f *frame) {
 		w := workersFor(f, maxPar)
@@ -464,9 +374,9 @@ func (c *compiler) compileTiledNest(x *Loop, slot int, from, trip int64, inds []
 			seq(f)
 			return
 		}
-		oBases := make([]int64, len(inds))
-		for i := range inds {
-			oBases[i] = inds[i].init(f)
+		oBases := make([]int64, len(l.inds))
+		for i := range l.inds {
+			oBases[i] = l.inds[i].init(f)
 		}
 		errs := make([]parError, w)
 		if wavefront {
@@ -475,14 +385,8 @@ func (c *compiler) compileTiledNest(x *Loop, slot int, from, trip int64, inds []
 				wf := tn.fp.get(f)
 				defer tn.fp.put(wf)
 				for d := int64(0); d < nti+ntj-1; d++ {
-					biLo := d - (ntj - 1)
-					if biLo < 0 {
-						biLo = 0
-					}
-					biHi := d
-					if biHi > nti-1 {
-						biHi = nti - 1
-					}
+					biLo := max(d-(ntj-1), 0)
+					biHi := min(d, nti-1)
 					for bi := biLo + int64(wi); bi <= biHi; bi += int64(w) {
 						tn.runTile(wf, bi, d-bi, oBases, &errs[wi])
 					}

@@ -1,9 +1,5 @@
 package loopir
 
-import (
-	"runtime"
-)
-
 // Parallel planning: the optimizer's last pass walks the optimized
 // statement tree and attaches a concrete ParSchedule to loops the
 // scheduler marked Parallel (no carried dependences at that level) or
@@ -72,17 +68,20 @@ func tileWorthwhile(ni, nj, bodyWork, tI, tJ int64, wavefront bool) bool {
 	return total >= satMul(parPayoff, overhead)
 }
 
+// tileWorkers is the cohort size chooseTile plans for. It is a
+// constant, not the compiling host's GOMAXPROCS, so a plan — and the
+// schedule -certify replays, the plan cache keys and disk snapshots
+// store — is a pure function of the nest: the same on every host,
+// whatever worker count later runs it.
+const tileWorkers = 1
+
 // chooseTile picks the cache tile extents for an ni×nj nest: roughly
-// 2·workers tiles along each dimension so every anti-diagonal keeps the
-// cohort busy, clamped so a tile stays big enough to amortize its
-// dispatch and small enough to live in cache.
+// 2·tileWorkers tiles along each dimension, clamped so a tile stays
+// big enough to amortize its dispatch and small enough to live in
+// cache.
 func chooseTile(ni, nj int64) (tI, tJ int64) {
-	est := int64(runtime.GOMAXPROCS(0))
-	if est < 1 {
-		est = 1
-	}
 	pick := func(n int64) int64 {
-		t := n / (2 * est)
+		t := n / (2 * tileWorkers)
 		if t < 8 {
 			t = 8
 		}

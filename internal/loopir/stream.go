@@ -43,12 +43,13 @@
 // definedness, subscripted subscripts — falls back to the materialized
 // path; BuildStreamPlan's error says why.
 //
-// The optimizer's strength-reduction artifacts (Assign.Off / ARef.Off,
-// Loop.Inds) are ignored: Subs are retained precisely so dependence
-// reasoning can ignore offsets, and the streaming evaluator interprets
-// Subs directly. Parallel schedules (Loop.Par) are likewise ignored —
-// a stream stage runs sequentially; the pipeline's parallelism is
-// between stages.
+// The analysis reads Subs and ignores the optimizer's strength-
+// reduction artifacts (Assign.Off / ARef.Off, Loop.Inds): Subs are
+// retained precisely so dependence reasoning can ignore offsets. The
+// compiled stage (stage.go) does use them — a window slot is addressed
+// at the same row-major offset minus the window's slide. Parallel
+// schedules (Loop.Par) are ignored: a stream stage runs sequentially;
+// the pipeline's parallelism is between stages.
 package loopir
 
 import (

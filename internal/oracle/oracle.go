@@ -85,7 +85,10 @@ func Ablations() []Ablation {
 		{"stencil", core.Options{NoStencil: true}},
 		// parallel runs the doacross/wavefront/tile schedules with a
 		// forced multi-worker pool; results (and error messages) must be
-		// indistinguishable from sequential execution.
+		// indistinguishable from sequential execution. RunCase holds
+		// this arm to a bitwise comparison against full: every schedule
+		// runs each loop through the same range kernel as sequential
+		// execution, and no schedule reorders an element's operations.
 		{"parallel", core.Options{Parallel: true, Workers: 4}},
 		// idxprop disables the index-array property layer (no static
 		// discharge, no claim-conditional dual plans, no runtime
@@ -229,6 +232,15 @@ func RunCase(p *gencomp.Program) *Case {
 	if ok, detail := BitwiseAgree(c.ByAblation["stencil"], c.ByAblation["full"]); !ok {
 		c.Mismatches = append(c.Mismatches, Mismatch{
 			Backend: "interp:stencil/bitwise",
+			Detail:  detail,
+		})
+	}
+	// Parallel schedules split iteration spaces, never an element's
+	// arithmetic: tiles, shards and chains run the sequential range
+	// kernel over their ranges, so parallel must match full bitwise.
+	if ok, detail := BitwiseAgree(c.ByAblation["parallel"], c.ByAblation["full"]); !ok {
+		c.Mismatches = append(c.Mismatches, Mismatch{
+			Backend: "interp:parallel/bitwise",
 			Detail:  detail,
 		})
 	}

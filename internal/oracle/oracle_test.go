@@ -3,8 +3,10 @@ package oracle
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"arraycomp/internal/core"
 	"arraycomp/internal/gencomp"
 	"arraycomp/internal/lang"
 	"arraycomp/internal/parser"
@@ -210,4 +212,34 @@ func FuzzCompileRoundTrip(f *testing.F) {
 				seed, c.Mismatches, min.Program.Source)
 		}
 	})
+}
+
+// TestCompileDeterministic: compiling the same source with the same
+// options yields the same plan every time — array declarations, split
+// temporaries and schedules do not depend on map iteration order.
+func TestCompileDeterministic(t *testing.T) {
+	for seed := uint64(1); seed <= 400; seed++ {
+		p := gencomp.Generate(seed, gencomp.Config{IdxWeight: 300})
+		for _, o := range []core.Options{{Parallel: true}, {Stream: true}} {
+			o.InputBounds = p.Inputs
+			var first string
+			for rep := 0; rep < 3; rep++ {
+				prog, err := core.Compile(p.Source, p.Params, o)
+				if err != nil {
+					break
+				}
+				var sb strings.Builder
+				for _, name := range prog.Order {
+					if cd := prog.Defs[name]; cd.Plan != nil {
+						sb.WriteString(cd.Plan.Program.Dump())
+					}
+				}
+				if rep == 0 {
+					first = sb.String()
+				} else if sb.String() != first {
+					t.Fatalf("seed %d: two compiles of the same program differ:\n%s\n--- vs ---\n%s", seed, first, sb.String())
+				}
+			}
+		}
+	}
 }

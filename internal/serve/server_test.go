@@ -342,9 +342,11 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// The limiter serializes work but never loses requests.
+// The limiter serializes work but never loses requests. The admission
+// queue is deep enough for every client, so a 429 here can only mean a
+// slot was never released, not that eight clients arrived at once.
 func TestConcurrencyLimiterReleasesSlots(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.Concurrency = 1 })
+	_, ts := newTestServer(t, func(c *Config) { c.Concurrency, c.QueueDepth = 1, 8 })
 	req := evalRequest{compileRequest: compileRequest{Source: wavefrontSrc, Params: map[string]int64{"n": 16}}}
 	data, _ := json.Marshal(req)
 	var wg sync.WaitGroup

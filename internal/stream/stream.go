@@ -9,25 +9,29 @@
 // c it first drains its input channels until each upstream window
 // covers the chunk plus that edge's forward lookahead, then executes
 // its loops restricted to the write positions inside the chunk, then
-// emits an immutable copy of its own chunk to every consumer (and the
-// collector, for the result stage). Windows slide by one chunk per
+// hands its own window to every consumer (and the collector, for the
+// result stage) as an immutable chunk. Windows slide by one chunk per
 // step, retaining exactly the backward history the stream plan proved
 // sufficient.
 //
 // Bitwise identity with the materialized path is by construction, not
-// by tolerance: each element is computed once (the compiler proved
-// writes collision-free), by the same closure semantics the loop-IR
-// interpreter uses (plain Go float64 arithmetic, the same math.*
-// builtins, the same short-circuit booleans), reading operands that
-// the window invariants prove are the same values the materialized
-// order would observe. The oracle's `stream` ablation arm cross-checks
-// this bit-for-bit on generated programs.
+// by tolerance: each stage is compiled by the loop-IR interpreter's own
+// closure compiler (loopir.CompileStage), so every element is computed
+// once (the compiler proved writes collision-free) by the very range
+// kernel the materialized run uses, reading operands that the window
+// invariants prove are the same values the materialized order would
+// observe. The oracle's `stream` ablation arm cross-checks this
+// bit-for-bit on generated programs.
 //
-// Memory accounting is deterministic, not RSS sampling: an accountant
-// charges every live buffer (resident inputs, windows, in-flight
-// chunks, and the materialized result when collecting) and records the
-// high-water mark, so CI can gate the streaming-vs-materialized peak
-// ratio without scheduler noise.
+// Memory accounting has two figures. BoundBytes is static: Build
+// derives it from the window sizes, channel capacities and chunk size,
+// so it is the same on every host and every run, and it is the figure
+// to gate. PeakBytes is observed: an accountant charges every live
+// buffer (resident inputs, each running stage's upstream windows,
+// every own window a stage has made, whether in use, in flight or
+// parked for reuse, and the materialized result when collecting) and
+// records the high-water mark, which depends on how the stages'
+// goroutines interleave but never exceeds BoundBytes.
 package stream
 
 import (
@@ -70,10 +74,16 @@ type Config struct {
 
 // Report is the outcome accounting of one pipeline run.
 type Report struct {
-	// PeakBytes is the high-water mark of live streaming memory:
-	// resident inputs + windows + in-flight chunks (+ the materialized
-	// result when collecting).
+	// PeakBytes is the observed high-water mark of live streaming
+	// memory: resident inputs + upstream windows + the own windows the
+	// stages made, in use, in flight or parked for reuse (+ the
+	// materialized result when collecting). It varies with goroutine
+	// interleaving.
 	PeakBytes int64
+	// BoundBytes is the static bound on PeakBytes, computed by Build
+	// from window sizes, channel capacities and the chunk size (+ the
+	// materialized result when collecting).
+	BoundBytes int64
 	// MaterializedBytes is what the interpreted pipeline would hold
 	// live at its peak: every input plus every definition's output.
 	MaterializedBytes int64
@@ -87,12 +97,12 @@ type Report struct {
 	MaxDist int64
 }
 
-// Pipeline is a compiled streaming pipeline: per-stage closure
+// Pipeline is a compiled streaming pipeline: per-stage compiled
 // programs plus the edge topology. It is immutable after Build and
 // safe for concurrent Runs.
 type Pipeline struct {
 	defs   []Def
-	comp   []*compiledDef
+	stages []*loopir.Stage
 	result int // index of the result stage
 	chunk  int64
 	depth  int
@@ -103,26 +113,33 @@ type Pipeline struct {
 	// consumers[i] counts stage i's downstream readers (excluding the
 	// collector).
 	consumers []int
-	// resident[i] maps frame array slots to external input names for
-	// stage i.
-	resident []map[int]string
+	// resident[i] lists the external inputs stage i holds whole.
+	resident [][]string
 	// residentNames is the deduplicated external input set with the
 	// bounds each must have.
 	residentNames map[string]runtime.Bounds
 	maxDist       int64
 	matBytes      int64 // materialized-path live bytes (inputs + outputs)
+	boundBytes    int64 // static bound on live bytes, result excluded
+	// outCap[i] is the largest capacity of stage i's out channels.
+	outCap []int64
 }
 
 // edgeSpec is the Build-time description of one producer→consumer
 // window.
 type edgeSpec struct {
-	from   int // producer stage
-	slot   int // consumer frame array slot
+	from   int    // producer stage
+	array  string // the producer's output, as the consumer names it
 	back   int64
 	fwd    int64
 	kAhead int64 // lookahead chunks: ceil(fwd/chunk)
 	srcLo  int64
 }
+
+// direct reports an edge whose reads never leave the chunk being
+// written: no history, no lookahead. Its window is simply the
+// producer's immutable chunk, read in place rather than copied.
+func (es edgeSpec) direct() bool { return es.back == 0 && es.kAhead == 0 }
 
 // Build compiles a pipeline from definitions in evaluation order.
 // Every read of an earlier definition's output must be windowable
@@ -173,8 +190,8 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 	gridLo, gridHi := defs[0].Plan.Lo, defs[0].Plan.Hi
 	p.edges = make([][]edgeSpec, len(defs))
 	p.consumers = make([]int, len(defs))
-	p.resident = make([]map[int]string, len(defs))
-	p.comp = make([]*compiledDef, len(defs))
+	p.resident = make([][]string, len(defs))
+	p.stages = make([]*loopir.Stage, len(defs))
 	for i, d := range defs {
 		if d.Plan.Lo < gridLo {
 			gridLo = d.Plan.Lo
@@ -182,19 +199,7 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 		if d.Plan.Hi > gridHi {
 			gridHi = d.Plan.Hi
 		}
-		cd, err := compileDef(d)
-		if err != nil {
-			return nil, fmt.Errorf("stream: stage %s: %w", d.Name, err)
-		}
-		p.comp[i] = cd
-		p.resident[i] = map[int]string{}
 		for _, w := range d.Plan.Reads {
-			slot, ok := cd.arraySlot[w.Array]
-			if !ok {
-				// The plan saw a read the compiled body never evaluates
-				// (can't happen today; defensive).
-				continue
-			}
 			src, produced := prodIdx[w.Array]
 			if !produced {
 				decl := d.Prog.Decl(w.Array)
@@ -205,7 +210,7 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 					return nil, fmt.Errorf("stream: input %s declared with two different bounds", w.Array)
 				}
 				p.residentNames[w.Array] = decl.B
-				p.resident[i][slot] = w.Array
+				p.resident[i] = append(p.resident[i], w.Array)
 				continue
 			}
 			if src >= i {
@@ -220,9 +225,18 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 				return nil, fmt.Errorf("stream: stage %s declares %s with bounds differing from its producer", d.Name, w.Array)
 			}
 			kAhead := (w.Fwd + p.chunk - 1) / p.chunk
-			p.edges[i] = append(p.edges[i], edgeSpec{from: src, slot: slot, back: w.Back, fwd: w.Fwd, kAhead: kAhead, srcLo: sp.Lo})
+			p.edges[i] = append(p.edges[i], edgeSpec{from: src, array: w.Array, back: w.Back, fwd: w.Fwd, kAhead: kAhead, srcLo: sp.Lo})
 			p.consumers[src]++
 		}
+		// Window slots are exactly the reads fed by an upstream edge.
+		st, err := loopir.CompileStage(d.Prog, d.Plan, func(name string) bool {
+			_, produced := prodIdx[name]
+			return produced
+		})
+		if err != nil {
+			return nil, fmt.Errorf("stream: stage %s: %w", d.Name, err)
+		}
+		p.stages[i] = st
 	}
 	p.gridLo = gridLo
 	p.nCh = (gridHi-gridLo)/p.chunk + 1
@@ -235,7 +249,52 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 	for _, d := range defs {
 		p.matBytes += (d.Plan.Hi - d.Plan.Lo + 1) * 8
 	}
+	p.outCap = make([]int64, len(defs))
+	p.outCap[p.result] = int64(p.depth) // the collector's channel
+	for i := range defs {
+		for _, es := range p.edges[i] {
+			p.outCap[es.from] = max(p.outCap[es.from], int64(p.depth)+es.kAhead)
+		}
+	}
+	p.boundBytes = p.bound()
 	return p, nil
+}
+
+// bound is the static bound on live bytes during a run, the collected
+// result excluded: resident inputs, every stage's windows, and the
+// chunks in flight or parked for reuse. A producer's unreleased chunks
+// all lie between the oldest one some receiver has not released and
+// the one it is sending now. Each receiver holds at most its channel's
+// capacity queued, one being read and, while the producer is still
+// sending, the current one, so a producer never has more than its
+// largest out-channel capacity plus two chunks live, and it makes no
+// more windows than that (runStage). A chunk is the producer's own
+// window: C elements plus its self-read history.
+func (p *Pipeline) bound() int64 {
+	var b int64
+	for _, rb := range p.residentNames {
+		b += rb.Size() * 8
+	}
+	for i, d := range p.defs {
+		own := (d.Plan.SelfBack + p.chunk) * 8
+		b += own + p.edgeBytes(i)
+		if i == p.result || p.consumers[i] > 0 {
+			b += (p.outCap[i] + 2) * own
+		}
+	}
+	return b
+}
+
+// edgeBytes is the size of stage i's upstream windows: each buffered
+// edge's history, chunk and lookahead.
+func (p *Pipeline) edgeBytes(i int) int64 {
+	var n int64
+	for _, es := range p.edges[i] {
+		if !es.direct() {
+			n += es.back + p.chunk + es.kAhead*p.chunk
+		}
+	}
+	return n * 8
 }
 
 // ChunkSize reports the grid pitch the pipeline will run with.
@@ -289,21 +348,22 @@ func (a *accountant) charge(b int64) {
 
 func (a *accountant) release(b int64) { a.cur.Add(-b) }
 
-// chunkMsg is one emitted chunk: an immutable copy of the producer's
-// window over [start, start+len(data)), refcounted across receivers
-// for accounting.
+// chunkMsg is one emitted chunk: a read-only view of the producer's
+// window over [start, start+len(data)), refcounted across receivers.
 type chunkMsg struct {
 	idx   int64
 	start int64
 	data  []float64
-	bytes int64
 	refs  atomic.Int32
-	acct  *accountant
+	// buf is the producer's whole window behind data; the last release
+	// returns it to the producer's free list.
+	buf  []float64
+	free chan []float64
 }
 
 func (m *chunkMsg) release() {
-	if m.refs.Add(-1) == 0 && m.bytes > 0 {
-		m.acct.release(m.bytes)
+	if m.refs.Add(-1) == 0 && m.buf != nil {
+		m.free <- m.buf
 	}
 }
 
@@ -311,9 +371,11 @@ func (m *chunkMsg) release() {
 type runEdge struct {
 	spec    edgeSpec
 	ch      chan *chunkMsg
-	buf     []float64
-	base    int64 // absolute position of buf[0]
-	recvIdx int64 // last integrated chunk index
+	buf     []float64 // nil for a direct edge
+	base    int64     // absolute position of buf[0]
+	slot    int       // the consumer stage's handle for the window
+	recvIdx int64     // last integrated chunk index
+	held    *chunkMsg // a direct edge's chunk, released after the chunk runs
 }
 
 // run drives one execution. collect materializes the result; emit, if
@@ -321,6 +383,7 @@ type runEdge struct {
 func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []float64) error, collect bool) (*runtime.Strict, Report, error) {
 	acct := &accountant{}
 	rep := Report{
+		BoundBytes:        p.boundBytes,
 		MaterializedBytes: p.matBytes,
 		Chunks:            p.nCh,
 		ChunkSize:         p.chunk,
@@ -358,8 +421,10 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 			e := &runEdge{
 				spec:    es,
 				ch:      make(chan *chunkMsg, int64(p.depth)+es.kAhead),
-				buf:     make([]float64, es.back+p.chunk+es.kAhead*p.chunk),
 				recvIdx: -1,
+			}
+			if !es.direct() {
+				e.buf = make([]float64, es.back+p.chunk+es.kAhead*p.chunk)
 			}
 			chans[i] = append(chans[i], e)
 			outs[es.from] = append(outs[es.from], e.ch)
@@ -384,6 +449,7 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 	if collect {
 		out = runtime.NewStrict(runtime.NewBounds1(resPlan.Lo, resPlan.Hi))
 		acct.charge(out.B.Size() * 8)
+		rep.BoundBytes += out.B.Size() * 8
 	}
 	var collectErr error
 collector:
@@ -416,60 +482,82 @@ collector:
 
 // runStage walks the chunk grid for one stage.
 func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*runEdge, outs []chan *chunkMsg, acct *accountant, abortCh <-chan struct{}) error {
-	cd := p.comp[si]
 	plan := p.defs[si].Plan
 	C := p.chunk
 	// Own output window: [clo-SelfBack, chi], zero-initialized like a
 	// fresh materialized output.
 	ownBuf := make([]float64, plan.SelfBack+C)
 	ownBase := p.gridLo - plan.SelfBack
-	winBytes := int64(len(ownBuf)) * 8
+	// The upstream windows are live while the stage runs. Own windows
+	// are charged when made and stay charged until the run ends, since
+	// they outlive the stage in flight or parked.
+	ownBytes, edgeBytes := int64(len(ownBuf))*8, p.edgeBytes(si)
+	acct.charge(ownBytes + edgeBytes)
+	defer acct.release(edgeBytes)
+	// Bind every array the stage reads or writes: its own window, the
+	// resident inputs whole, and each upstream window.
+	run := p.stages[si].NewRun()
+	own, err := run.Bind(plan.Out, ownBuf, ownBase)
+	if err != nil {
+		return err
+	}
+	for _, name := range p.resident[si] {
+		in := inputs[name]
+		if _, err := run.Bind(name, in.Data, in.B.Lo[0]); err != nil {
+			return err
+		}
+	}
 	for _, e := range edges {
 		e.base = p.gridLo - e.spec.back
-		winBytes += int64(len(e.buf)) * 8
-	}
-	acct.charge(winBytes)
-	defer acct.release(winBytes)
-	// Frame: readers resolve array slots to resident slices, upstream
-	// windows, or the own window.
-	f := &frame{
-		vars:    make([]int64, cd.nVars),
-		scalars: make([]float64, cd.nScalars),
-		readFn:  make([]func(int64) float64, cd.nArrays),
-	}
-	f.write = func(pos int64, v float64) { ownBuf[pos-ownBase] = v }
-	if cd.selfSlot >= 0 {
-		f.readFn[cd.selfSlot] = func(pos int64) float64 { return ownBuf[pos-ownBase] }
-	}
-	for slot, name := range p.resident[si] {
-		in := inputs[name]
-		data, lo := in.Data, in.B.Lo[0]
-		f.readFn[slot] = func(pos int64) float64 { return data[pos-lo] }
-	}
-	for _, e := range edges {
-		e := e
-		f.readFn[e.spec.slot] = func(pos int64) float64 { return e.buf[pos-e.base] }
-	}
-	for slot, fn := range f.readFn {
-		if fn == nil {
-			return fmt.Errorf("stream: stage %s: array slot %d unresolved", p.defs[si].Name, slot)
+		if e.slot, err = run.Bind(e.spec.array, e.buf, e.base); err != nil {
+			return err
 		}
 	}
 
+	handedOff := false // ownBuf went downstream as the last chunk's message
+	// Released windows come back on free for reuse. Besides its own, a
+	// producer makes at most outCap+2 windows (the bound's in-flight
+	// term). Once a chunk is sent at most outCap+1 are unreleased, so
+	// when all have been made a release is always coming, and the stage
+	// waits for it. free can hold every window the stage makes, so a
+	// release never blocks.
+	spare := p.outCap[si] + 2
+	free := make(chan []float64, spare+1)
 	for ci := int64(0); ci < p.nCh; ci++ {
 		clo := p.gridLo + ci*C
 		chi := clo + C - 1
 		if ci > 0 {
-			// Slide: retain the backward history, zero the fresh span
-			// of the own window (fresh-array semantics).
-			copy(ownBuf[:plan.SelfBack], ownBuf[C:])
-			for k := plan.SelfBack; k < int64(len(ownBuf)); k++ {
-				ownBuf[k] = 0
+			// Slide: retain the backward history in a zeroed own window
+			// (fresh-array semantics). A window that went downstream
+			// belongs to its receivers now, so the stage continues in a
+			// released one, or a new one while none is free. The released
+			// window may be ownBuf itself, so the history is copied (an
+			// overlap-safe move) before anything is cleared.
+			nb := ownBuf
+			if handedOff {
+				if spare > 0 && len(free) == 0 {
+					spare--
+					nb = make([]float64, len(ownBuf))
+					acct.charge(ownBytes)
+				} else {
+					select {
+					case nb = <-free:
+					case <-abortCh:
+						return nil
+					}
+				}
 			}
+			copy(nb[:plan.SelfBack], ownBuf[C:])
+			clear(nb[plan.SelfBack:])
+			ownBuf = nb
 			ownBase += C
+			run.Slide(own, ownBuf, ownBase)
 			for _, e := range edges {
-				copy(e.buf[:int64(len(e.buf))-C], e.buf[C:])
-				e.base += C
+				if e.buf != nil {
+					copy(e.buf[:int64(len(e.buf))-C], e.buf[C:])
+					e.base += C
+					run.Slide(e.slot, e.buf, e.base)
+				}
 			}
 		}
 		// Drain upstream until every window covers this chunk's reads
@@ -482,6 +570,11 @@ func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*
 			for e.recvIdx < need {
 				select {
 				case m := <-e.ch:
+					if e.buf == nil {
+						e.held, e.recvIdx = m, m.idx
+						run.Slide(e.slot, m.data, m.start)
+						continue
+					}
 					if len(m.data) > 0 {
 						dst := m.start - e.base
 						if dst < 0 || dst+int64(len(m.data)) > int64(len(e.buf)) {
@@ -499,43 +592,29 @@ func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*
 		}
 		// Execute the chunk: top-level statements in program order,
 		// loops clamped to write positions inside [clo, chi].
-		for _, ts := range cd.tops {
-			if ts.run == nil {
-				f.scalars[ts.scalar] = ts.setFn(f)
-				continue
-			}
-			lo, hi := ts.from, ts.to
-			if w := clo - ts.cw; w > lo {
-				lo = w
-			}
-			if w := chi - ts.cw; w < hi {
-				hi = w
-			}
-			if lo <= hi {
-				ts.run(f, lo, hi)
+		if err := run.Chunk(clo, chi); err != nil {
+			return fmt.Errorf("stream: stage %s: %w", p.defs[si].Name, err)
+		}
+		for _, e := range edges {
+			if e.held != nil {
+				e.held.release()
+				e.held = nil
 			}
 		}
-		// Emit the immutable chunk copy.
-		s, e := clo, chi
-		if plan.Lo > s {
-			s = plan.Lo
-		}
-		if plan.Hi < e {
-			e = plan.Hi
-		}
-		var data []float64
-		if s <= e {
-			data = make([]float64, e-s+1)
-			copy(data, ownBuf[s-ownBase:])
-		}
+		// Emit the chunk: the own window itself goes downstream and
+		// stays untouched until its last receiver releases it, so the
+		// message needs no copy. It keeps the window's history alive
+		// too, and is charged for it.
+		s, e := max(clo, plan.Lo), min(chi, plan.Hi)
+		handedOff = s <= e && len(outs) > 0
 		if len(outs) == 0 {
 			continue
 		}
-		m := &chunkMsg{idx: ci, start: s, data: data, bytes: int64(len(data)) * 8, acct: acct}
-		m.refs.Store(int32(len(outs)))
-		if m.bytes > 0 {
-			acct.charge(m.bytes)
+		m := &chunkMsg{idx: ci, start: s, free: free}
+		if handedOff {
+			m.data, m.buf = ownBuf[s-ownBase:e-ownBase+1], ownBuf
 		}
+		m.refs.Store(int32(len(outs)))
 		for _, ch := range outs {
 			select {
 			case ch <- m:

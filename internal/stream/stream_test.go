@@ -287,8 +287,9 @@ func TestStreamEmitAbort(t *testing.T) {
 }
 
 // TestStreamPeakBytes: a long bounded-distance chain must hold far
-// less than the materialized store. The accounting is deterministic,
-// so the bound is exact, not statistical.
+// less than the materialized store. The static bound is deterministic,
+// so the check on it is exact, not statistical; the observed peak must
+// stay under the bound on any schedule.
 func TestStreamPeakBytes(t *testing.T) {
 	const lo, hi = 1, 1<<18 + 13
 	x := fill(b1(lo, hi), 9)
@@ -314,8 +315,8 @@ func TestStreamPeakBytes(t *testing.T) {
 	if rep.MaterializedBytes < 9*8*(hi-lo) {
 		t.Fatalf("materialized accounting too small: %d", rep.MaterializedBytes)
 	}
-	if 4*rep.PeakBytes > rep.MaterializedBytes {
-		t.Fatalf("peak %d is not ≤ 25%% of materialized %d", rep.PeakBytes, rep.MaterializedBytes)
+	if 4*rep.BoundBytes > rep.MaterializedBytes || rep.PeakBytes > rep.BoundBytes {
+		t.Fatalf("peak %d, bound %d: want peak ≤ bound ≤ 25%% of materialized %d", rep.PeakBytes, rep.BoundBytes, rep.MaterializedBytes)
 	}
 	// Collect mode additionally holds the materialized result; still
 	// far below the full store for a long chain.
@@ -323,8 +324,8 @@ func TestStreamPeakBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if 2*crep.PeakBytes > crep.MaterializedBytes {
-		t.Fatalf("collect peak %d is not ≤ 50%% of materialized %d", crep.PeakBytes, crep.MaterializedBytes)
+	if 2*crep.BoundBytes > crep.MaterializedBytes || crep.PeakBytes > crep.BoundBytes {
+		t.Fatalf("collect peak %d, bound %d: want peak ≤ bound ≤ 50%% of materialized %d", crep.PeakBytes, crep.BoundBytes, crep.MaterializedBytes)
 	}
 }
 
@@ -414,9 +415,48 @@ in res`
 			t.Fatalf("element %d differs", i)
 		}
 	}
+	// The observed peak depends on how the stage goroutines
+	// interleave; the static bound does not, and must hold on any host.
 	rep := st.StreamReport()
-	if rep == nil || rep.PeakBytes <= 0 || rep.MaterializedBytes <= rep.PeakBytes {
+	if rep == nil || rep.PeakBytes <= 0 || rep.PeakBytes > rep.BoundBytes {
 		t.Fatalf("stream report unconvincing: %+v", rep)
+	}
+}
+
+// TestCoreStreamKernels runs optimized stages through every range
+// kernel shape in window mode — the unit-stride copy, the stencil row
+// kernel over a lookahead window, a self-reading recurrence and the
+// generic closure loop — across several chunks, bitwise against the
+// materialized run.
+func TestCoreStreamKernels(t *testing.T) {
+	src := `letrec* c = array (1,n) [ i := x!i | i <- [1..n] ];
+  s = array (1,n) ([ 1 := c!1 ] ++ [ i := (c!(i-1) + c!i + c!(i+1)) / 3.0 | i <- [2..n-1] ] ++ [ n := c!n ]);
+  d = array (1,n) [ i := s!i | i <- [1..n] ];
+  e = array (1,n) ([ 1 := d!1 ] ++ [ i := e!(i-1) * 0.75 + d!i * 0.25 | i <- [2..n] ]);
+  res = array (1,n) [ i := e!i * 0.5 + x!i | i <- [1..n] ]
+in res`
+	n := int64(3*stream.DefaultChunkSize + 77)
+	x := fill(b1(1, n), 33)
+	inputs := map[string]*runtime.Strict{"x": x}
+	var outs []*runtime.Strict
+	for _, streamed := range []bool{false, true} {
+		p, err := core.Compile(src, map[string]int64{"n": n}, core.Options{InputBounds: inBounds("x", 1, n), Stream: streamed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if streamed && !p.StreamActive() {
+			t.Fatalf("streaming should be active; fallback: %s", p.StreamFallback())
+		}
+		out, err := p.Run(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	for i := range outs[0].Data {
+		if outs[0].Data[i] != outs[1].Data[i] {
+			t.Fatalf("element %d differs: materialized %v, streamed %v", i, outs[0].Data[i], outs[1].Data[i])
+		}
 	}
 }
 
