@@ -75,7 +75,7 @@ func (s Status) String() string {
 // Certificate records the outcome of checking one compiler claim.
 type Certificate struct {
 	// Layer names the pass whose claim was checked: "analysis",
-	// "schedule", or "plan".
+	// "schedule", "plan", "stencil", "idxprop", "stream" or "block".
 	Layer string
 	// Claim is the human-readable statement that was checked.
 	Claim string

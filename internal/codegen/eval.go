@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"arraycomp/internal/lang"
+	"arraycomp/internal/runtime"
 )
 
 // evaluator is the reference tree-walking interpreter for surface
@@ -205,42 +206,18 @@ func (ev *evaluator) evalFloat(e lang.Expr, s scope) (float64, error) {
 }
 
 func applyBuiltin(fn string, args []float64, pos lang.Pos) (float64, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("eval: %s expects %d arguments, got %d at %s", fn, n, len(args), pos)
-		}
-		return nil
+	b := runtime.LookupBuiltin(fn)
+	if b == nil {
+		return 0, fmt.Errorf("eval: unknown builtin %q at %s", fn, pos)
 	}
-	switch fn {
-	case "abs":
-		return math.Abs(args[0]), need(1)
-	case "sqrt":
-		return math.Sqrt(args[0]), need(1)
-	case "exp":
-		return math.Exp(args[0]), need(1)
-	case "log":
-		return math.Log(args[0]), need(1)
-	case "sin":
-		return math.Sin(args[0]), need(1)
-	case "cos":
-		return math.Cos(args[0]), need(1)
-	case "min":
-		if err := need(2); err != nil {
-			return 0, err
-		}
-		return math.Min(args[0], args[1]), nil
-	case "max":
-		if err := need(2); err != nil {
-			return 0, err
-		}
-		return math.Max(args[0], args[1]), nil
-	case "pow":
-		if err := need(2); err != nil {
-			return 0, err
-		}
-		return math.Pow(args[0], args[1]), nil
+	if len(args) != b.Arity {
+		return 0, fmt.Errorf("eval: %s expects %d arguments, got %d at %s", fn, b.Arity, len(args), pos)
 	}
-	return 0, fmt.Errorf("eval: unknown builtin %q at %s", fn, pos)
+	y := 0.0
+	if b.Arity == 2 {
+		y = args[1]
+	}
+	return b.Apply(args[0], y), nil
 }
 
 func (ev *evaluator) evalBool(e lang.Expr, s scope) (bool, error) {

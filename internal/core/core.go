@@ -470,6 +470,10 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 				return nil, err
 			}
 			t0 = time.Now()
+			if err := certifyMerge(name, loopir.CertifyBlocks(plan.Program), t0); err != nil {
+				return nil, err
+			}
+			t0 = time.Now()
 			var static idxprop.Claims
 			if res.Cond != nil && !opts.NoIdxProp {
 				for _, c := range res.Cond.Claims {

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -166,5 +169,117 @@ func TestSnapshotCorruptAccumMarker(t *testing.T) {
 	}
 	if _, err := RestoreSnapshot(dec, Options{}); err == nil || !strings.Contains(err.Error(), "AccumOp") {
 		t.Fatalf("restore with dropped combiner: err = %v, want AccumOp error", err)
+	}
+}
+
+// TestSnapshotAcrossGOMAXPROCS writes snapshots of certified parallel
+// programs whose loops run block kernels (the §3 wavefront, scheduled
+// as a wavefront, and a streamed ten-stage chain) in a GOMAXPROCS=1
+// process and restores them at GOMAXPROCS=4: the plans are identical
+// to the written ones and to a fresh compile at 4, and the restored
+// program's output, run on four workers, is bitwise identical.
+func TestSnapshotAcrossGOMAXPROCS(t *testing.T) {
+	var chain strings.Builder
+	chain.WriteString("letrec* s1 = array (1,n) [ i := x!i + 1.0 | i <- [1..n] ]")
+	for k := 2; k <= 10; k++ {
+		s, prev := fmt.Sprintf("s%d", k), fmt.Sprintf("s%d", k-1)
+		switch k % 3 {
+		case 0:
+			fmt.Fprintf(&chain, ";\n %[1]s = array (1,n) ([ 1 := %[2]s!1 ] ++ [ i := (%[2]s!(i-1) + %[2]s!i + %[2]s!(i+1)) / 3.0 | i <- [2..n-1] ] ++ [ n := %[2]s!n ])", s, prev)
+		case 1:
+			fmt.Fprintf(&chain, ";\n %[1]s = array (1,n) ([ 1 := %[2]s!1 ] ++ [ i := %[1]s!(i-1) * 0.75 + %[2]s!i * 0.25 | i <- [2..n] ])", s, prev)
+		case 2:
+			fmt.Fprintf(&chain, ";\n %s = array (1,n) [ i := %s!i * 0.5 + 0.25 | i <- [1..n] ]", s, prev)
+		}
+	}
+	chain.WriteString("\nin s10")
+	n := int64(20000)
+	x := runtime.NewStrict(runtime.NewBounds1(1, n))
+	for i := range x.Data {
+		x.Data[i] = math.Sin(float64(i) * 0.3)
+	}
+	cases := []struct {
+		name, src string
+		params    map[string]int64
+		opts      Options
+		inputs    map[string]*runtime.Strict
+		want      string
+	}{
+		{"wavefront", `a = array ((1,1),(n,n))
+		  ([ (1,j) := 1.0 | j <- [1..n] ] ++
+		   [ (i,1) := 1.0 | i <- [2..n] ] ++
+		   [ (i,j) := 0.3 * a!(i-1,j) + 0.3 * a!(i,j-1) + 0.4 * a!(i-1,j-1)
+		     | i <- [2..n], j <- [2..n] ])`,
+			map[string]int64{"n": 200}, Options{Parallel: true}, nil, "wavefront"},
+		{"chain", chain.String(), map[string]int64{"n": n},
+			Options{Parallel: true, Stream: true,
+				InputBounds: map[string]analysis.ArrayBounds{"x": {Lo: []int64{1}, Hi: []int64{n}}}},
+			map[string]*runtime.Strict{"x": x}, "shard"},
+	}
+	dump := func(p *Program) string {
+		var b strings.Builder
+		for _, name := range p.Order {
+			b.WriteString(p.Defs[name].Plan.Program.Dump())
+		}
+		return b.String()
+	}
+	bitwise := func(a, b *runtime.Strict) bool {
+		if len(a.Data) != len(b.Data) {
+			return false
+		}
+		for i := range a.Data {
+			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		tc.opts.Certify = true
+		goruntime.GOMAXPROCS(1)
+		p := compile(t, tc.src, tc.params, tc.opts)
+		want, err := p.Run(tc.inputs)
+		if err != nil {
+			t.Fatalf("%s: run at GOMAXPROCS=1: %v", tc.name, err)
+		}
+		s, err := p.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: snapshot: %v", tc.name, err)
+		}
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		written := dump(p)
+		if !strings.Contains(written, tc.want) {
+			t.Fatalf("%s: no %s schedule:\n%s", tc.name, tc.want, written)
+		}
+
+		goruntime.GOMAXPROCS(4)
+		dec, err := DecodeSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		r, err := RestoreSnapshot(dec, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: restore at GOMAXPROCS=4: %v", tc.name, err)
+		}
+		if got := dump(r); got != written {
+			t.Fatalf("%s: restored plan differs:\n%s\nwritten:\n%s", tc.name, got, written)
+		}
+		if fresh := dump(compile(t, tc.src, tc.params, tc.opts)); fresh != written {
+			t.Fatalf("%s: plan compiled at GOMAXPROCS=4 differs:\n%s\nat 1:\n%s", tc.name, fresh, written)
+		}
+		if tc.opts.Stream && !r.StreamActive() {
+			t.Fatalf("%s: restored program does not stream: %s", tc.name, r.StreamFallback())
+		}
+		got, err := r.Run(tc.inputs)
+		if err != nil {
+			t.Fatalf("%s: restored run at GOMAXPROCS=4: %v", tc.name, err)
+		}
+		if !bitwise(got, want) {
+			t.Fatalf("%s: output restored at GOMAXPROCS=4 differs bitwise", tc.name)
+		}
 	}
 }

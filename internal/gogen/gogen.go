@@ -18,6 +18,7 @@ import (
 
 	"arraycomp/internal/idxprop"
 	"arraycomp/internal/loopir"
+	"arraycomp/internal/runtime"
 )
 
 // emitter accumulates the generated source.
@@ -470,12 +471,12 @@ func (e *emitter) valueExpr(x loopir.VExpr) string {
 		for i, a := range n.Args {
 			args[i] = e.valueExpr(a)
 		}
-		fn, ok := mathFns[n.Fn]
-		if !ok {
+		b := runtime.LookupBuiltin(n.Fn)
+		if b == nil {
 			e.fail("unknown builtin %q", n.Fn)
 			return "0"
 		}
-		return fmt.Sprintf("%s(%s)", fn, strings.Join(args, ", "))
+		return fmt.Sprintf("%s(%s)", b.Go, strings.Join(args, ", "))
 	case *loopir.VCond:
 		tmp := e.fresh("t")
 		e.line("var %s float64", tmp)
@@ -493,12 +494,6 @@ func (e *emitter) valueExpr(x loopir.VExpr) string {
 	}
 	e.fail("unknown value expression %T", x)
 	return "0"
-}
-
-var mathFns = map[string]string{
-	"abs": "math.Abs", "sqrt": "math.Sqrt", "exp": "math.Exp",
-	"log": "math.Log", "sin": "math.Sin", "cos": "math.Cos",
-	"min": "math.Min", "max": "math.Max", "pow": "math.Pow",
 }
 
 var goCmp = map[string]string{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"arraycomp/internal/loopir"
+	"arraycomp/internal/runtime"
 )
 
 // Stencil interior emission. A loop the optimizer annotated as a
@@ -219,11 +220,11 @@ func stencilExpr(v loopir.VExpr, base string, slices map[sliceKey]string, idx st
 			args[i], okA = stencilExpr(a, base, slices, idx)
 			ok = ok && okA
 		}
-		fn, known := mathFns[x.Fn]
-		if !known {
+		b := runtime.LookupBuiltin(x.Fn)
+		if b == nil {
 			return "0", false
 		}
-		return fn + "(" + join(args, ", ") + ")", ok
+		return b.Go + "(" + join(args, ", ") + ")", ok
 	}
 	return "0", false
 }

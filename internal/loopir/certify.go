@@ -2,6 +2,7 @@ package loopir
 
 import (
 	"fmt"
+	"strconv"
 
 	"arraycomp/internal/certify"
 	"arraycomp/internal/deptest"
@@ -323,4 +324,144 @@ enumLoop:
 	return certify.Certificate{
 		Layer: "plan", Claim: claim, Status: certify.Certified, Exhaustive: exhaustive,
 	}
+}
+
+// Certification of block kernels. planBlock hoists a subtree only when
+// none of its reads can see an element that the loop's own store
+// writes earlier in the same block. The certifier replays that claim
+// by enumeration, independently of the planner's distance arithmetic:
+// over the loop's clamped iteration space it records the iterations
+// that write each element, then falsifies the plan when a hoisted read
+// at iteration t lands on an element written at an iteration t' with
+// 0 < t − t' < blockLen — the only pairs whose order a block reverses.
+// Enclosing loop variables must enter the store and the read with
+// equal coefficients, so they cancel out of element equality.
+
+// CertifyBlocks audits the block kernel of every loop in p that
+// planBlock accepts.
+func CertifyBlocks(p *Program) *certify.Report {
+	rep := certify.NewReport()
+	WalkLoops(p.Stmts, func(l *Loop) {
+		if plan := planBlock(p, l); plan != nil {
+			rep.Record(certifyBlock(l, plan))
+		}
+	})
+	return rep
+}
+
+// certifyBlock replays one loop's block plan.
+func certifyBlock(l *Loop, plan *blockPlan) certify.Certificate {
+	a := plan.a
+	claim := fmt.Sprintf("loop %s: block kernel's hoisted reads see no store of their block", l.Var)
+	result := func(st certify.Status, witness []int64, detail string) certify.Certificate {
+		return certify.Certificate{Layer: "block", Claim: claim, Status: st, Witness: witness, Detail: detail}
+	}
+	// The hoisted reads of the stored array: direct reads, and the
+	// index reads of gathers.
+	var reads [][]IntExpr
+	gatherSelf := false
+	var walk func(e VExpr)
+	walk = func(e VExpr) {
+		switch x := e.(type) {
+		case *ARef:
+			if g := gatherIndex(x); g != nil {
+				gatherSelf = gatherSelf || x.Array == a.Array
+				if g.Array == a.Array {
+					reads = append(reads, g.Subs)
+				}
+			} else if x.Array == a.Array {
+				reads = append(reads, x.Subs)
+			}
+		case *VBin:
+			walk(x.L)
+			walk(x.R)
+		case *VNeg:
+			walk(x.X)
+		case *VCall:
+			for _, arg := range x.Args {
+				walk(arg)
+			}
+		}
+	}
+	for _, h := range plan.hoisted {
+		walk(h)
+	}
+	if gatherSelf {
+		return result(certify.Falsified, nil, fmt.Sprintf("a hoisted gather reads %s, which the loop stores", a.Array))
+	}
+	if len(reads) == 0 {
+		return certify.Certificate{Layer: "block", Claim: claim, Status: certify.Certified, Exhaustive: true}
+	}
+	lins := func(subs []IntExpr) []*linForm {
+		out := make([]*linForm, len(subs))
+		for k, s := range subs {
+			if out[k] = intLin(s); out[k] == nil {
+				return nil
+			}
+		}
+		return out
+	}
+	w := lins(a.Subs)
+	if w == nil {
+		return result(certify.Falsified, nil, fmt.Sprintf("a hoisted read of %s under an indirect store", a.Array))
+	}
+	rs := make([][]*linForm, len(reads))
+	for k, subs := range reads {
+		if rs[k] = lins(subs); rs[k] == nil || len(rs[k]) != len(w) {
+			return result(certify.Skipped, nil, "non-affine hoisted read")
+		}
+		for d := range w {
+			for _, pair := range [][2]*linForm{{rs[k][d], w[d]}, {w[d], rs[k][d]}} {
+				for v, c := range pair[0].t {
+					if v != l.Var && pair[1].t[v] != c {
+						return result(certify.Skipped, nil, "enclosing-variable coefficients differ")
+					}
+				}
+			}
+		}
+	}
+	trip := tripCount(l.From, l.To, l.Step)
+	n := min(trip, certify.ShadowClamp)
+	exhaustive := trip <= certify.ShadowClamp
+	// elem renders the subscripts of f at iteration t into key.
+	var key []byte
+	elem := func(f []*linForm, t int64) bool {
+		var s deptest.SatOps
+		key = key[:0]
+		for k, d := range f {
+			if k > 0 {
+				key = append(key, ',')
+			}
+			key = strconv.AppendInt(key, s.Add(d.c, s.Mul(d.t[l.Var], s.Add(l.From, s.Mul(t, l.Step)))), 10)
+		}
+		return !s.Overflowed
+	}
+	writes := map[string][]int64{}
+	for t := range n {
+		if !elem(w, t) || len(writes[string(key)]) >= planBucketCap {
+			exhaustive = false
+			continue
+		}
+		writes[string(key)] = append(writes[string(key)], t)
+	}
+	occ := n
+	for _, r := range rs {
+		for t := range n {
+			if !elem(r, t) {
+				exhaustive = false
+				continue
+			}
+			for _, tw := range writes[string(key)] {
+				if d := t - tw; d > 0 && d < blockLen {
+					return result(certify.Falsified, []int64{tw, t},
+						fmt.Sprintf("hoisted read of %s[%s] at iteration %d runs before the store of iteration %d in its block", a.Array, key, t, tw))
+				}
+			}
+			if occ++; occ > planOccBudget {
+				exhaustive = false
+				break
+			}
+		}
+	}
+	return certify.Certificate{Layer: "block", Claim: claim, Status: certify.Certified, Exhaustive: exhaustive}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"arraycomp/internal/certify"
 	"arraycomp/internal/runtime"
 )
 
@@ -235,5 +236,43 @@ func TestTripCountSaturation(t *testing.T) {
 		if got := tripCount(c.from, c.to, c.step); got < 0 {
 			t.Errorf("tripCount(%d,%d,%d) negative: %d", c.from, c.to, c.step, got)
 		}
+	}
+}
+
+// TestCertifyBlocks: the planner's block plans replay clean, and a
+// forged plan hoisting a read of the element stored one iteration
+// earlier falsifies, naming the block layer.
+func TestCertifyBlocks(t *testing.T) {
+	for _, d := range []int64{0, -1, blockLen, 1} {
+		p := selfRecurrence(200, 1, 200, 1, d)()
+		rep := CertifyBlocks(p)
+		if rep.FalsifiedCount != 0 || rep.CertifiedCount != 1 {
+			t.Fatalf("d=%d: %s", d, rep)
+		}
+	}
+	wave := liv23Nest(64, true)
+	Optimize(wave)
+	if rep := CertifyBlocks(wave); rep.FalsifiedCount != 0 || rep.CertifiedCount == 0 {
+		t.Fatalf("liv23: %s", rep)
+	}
+
+	p := selfRecurrence(200, 1, 200, 1, 1)()
+	l := p.Stmts[0].(*Loop)
+	plan := planBlock(p, l)
+	carried := plan.a.Rhs.(*VBin).L // 0.5 * a[i-1]
+	for _, h := range plan.hoisted {
+		if h == carried {
+			t.Fatal("planner hoisted the d = 1 read")
+		}
+	}
+	plan.hoisted = append(plan.hoisted, carried)
+	cert := certifyBlock(l, plan)
+	if cert.Status != certify.Falsified || cert.Layer != "block" {
+		t.Fatalf("forged d = 1 hoist: %s", cert)
+	}
+	rep := certify.NewReport()
+	rep.Record(cert)
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "[block]") {
+		t.Fatalf("report error does not name the layer: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package loopir
 
 import (
 	"fmt"
-	"math"
 
 	"arraycomp/internal/idxprop"
 	"arraycomp/internal/runtime"
@@ -32,6 +31,13 @@ type frame struct {
 	// workers is the parallel worker budget for this run, resolved at
 	// Run time from Exec.SetWorkers (0 means GOMAXPROCS then).
 	workers int
+	// scratch holds the block kernels' per-block values, blockLen
+	// elements per slot, grown on first use; bi is the running
+	// iteration's index in its block, and dst the destination slice of
+	// a block storing its result directly (see fast.go).
+	scratch []float64
+	bi      int
+	dst     []float64
 }
 
 type (
@@ -305,7 +311,8 @@ type cLoop struct {
 }
 
 // rank is the iteration a failing kernel call was running. Only the
-// generic kernel can fail, and it keeps the loop-variable register
+// generic closure loops can fail (the generic kernel and a block
+// kernel's generic residual), and they keep the loop-variable register
 // current, so the rank is read back from there.
 func (l *cLoop) rank(f *frame) int64 { return (f.ints[l.slot] - l.from) / l.step }
 
@@ -319,8 +326,9 @@ func (l *cLoop) bind(f *frame, t int64) {
 }
 
 // compileLoop compiles a loop's body once into its range kernel,
-// chosen by the body's shape: the unit-stride copy, the stencil row
-// kernel, or the generic closure loop.
+// chosen by the body's shape: the block kernel, the stencil row
+// kernel, or the generic closure loop (see fast.go). A block kernel
+// runs short ranges through the stencil or generic kernel.
 func (c *compiler) compileLoop(x *Loop) *cLoop {
 	if x.Step == 0 {
 		c.fail("loop over %q has zero step", x.Var)
@@ -330,12 +338,18 @@ func (c *compiler) compileLoop(x *Loop) *cLoop {
 	for i, ind := range x.Inds {
 		l.inds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
 	}
-	if l.run = c.compileFastLoop(x, l.inds); l.run != nil {
-		return l
+	if l.run = c.compileStencilLoop(x, l.inds, nil); l.run == nil {
+		l.run = c.genericLoop(x, l)
 	}
-	if l.run = c.compileStencilLoop(x, l.inds); l.run != nil {
-		return l
+	if blk := c.compileBlockLoop(x, l, l.run); blk != nil {
+		l.run = blk
 	}
+	return l
+}
+
+// genericLoop compiles the generic kernel: the closure loop over the
+// compiled body.
+func (c *compiler) genericLoop(x *Loop, l *cLoop) rangeFn {
 	l.body = make([]stmtFn, len(x.Body))
 	for i, st := range x.Body {
 		if in, ok := st.(*Loop); ok {
@@ -346,7 +360,7 @@ func (c *compiler) compileLoop(x *Loop) *cLoop {
 		}
 	}
 	slot, from, step, inds, body := l.slot, l.from, l.step, l.inds, l.body
-	l.run = func(f *frame, t0, n int64) {
+	return func(f *frame, t0, n int64) {
 		l.bind(f, t0)
 		v := from + t0*step
 		for ; n > 0; n-- {
@@ -358,7 +372,6 @@ func (c *compiler) compileLoop(x *Loop) *cLoop {
 			}
 		}
 	}
-	return l
 }
 
 // windowed reports whether an array slot is a stream stage's sliding
@@ -644,6 +657,9 @@ func (c *compiler) compileFloat(e VExpr) floatFn {
 		return func(f *frame) float64 { return -fn(f) }
 	case *VCall:
 		return c.compileCall(x)
+	case *vScratch:
+		k := x.slot * blockLen
+		return func(f *frame) float64 { return f.scratch[k+f.bi] }
 	case *VCond:
 		cond := c.compileBool(x.C)
 		th := c.compileFloat(x.T)
@@ -660,55 +676,26 @@ func (c *compiler) compileFloat(e VExpr) floatFn {
 }
 
 func (c *compiler) compileCall(x *VCall) floatFn {
-	args := make([]floatFn, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = c.compileFloat(a)
+	b := c.builtin(x)
+	fn := b.Apply
+	a := c.compileFloat(x.Args[0])
+	if b.Arity == 1 {
+		return func(f *frame) float64 { return fn(a(f), 0) }
 	}
-	need := func(n int) {
-		if len(args) != n {
-			c.fail("builtin %s expects %d arguments, got %d", x.Fn, n, len(args))
-		}
+	r := c.compileFloat(x.Args[1])
+	return func(f *frame) float64 { return fn(a(f), r(f)) }
+}
+
+// builtin resolves a call's builtin and checks its arity.
+func (c *compiler) builtin(x *VCall) *runtime.Builtin {
+	b := runtime.LookupBuiltin(x.Fn)
+	if b == nil {
+		c.fail("unknown builtin %q", x.Fn)
 	}
-	switch x.Fn {
-	case "abs":
-		need(1)
-		a := args[0]
-		return func(f *frame) float64 { return math.Abs(a(f)) }
-	case "sqrt":
-		need(1)
-		a := args[0]
-		return func(f *frame) float64 { return math.Sqrt(a(f)) }
-	case "exp":
-		need(1)
-		a := args[0]
-		return func(f *frame) float64 { return math.Exp(a(f)) }
-	case "log":
-		need(1)
-		a := args[0]
-		return func(f *frame) float64 { return math.Log(a(f)) }
-	case "sin":
-		need(1)
-		a := args[0]
-		return func(f *frame) float64 { return math.Sin(a(f)) }
-	case "cos":
-		need(1)
-		a := args[0]
-		return func(f *frame) float64 { return math.Cos(a(f)) }
-	case "min":
-		need(2)
-		a, b := args[0], args[1]
-		return func(f *frame) float64 { return math.Min(a(f), b(f)) }
-	case "max":
-		need(2)
-		a, b := args[0], args[1]
-		return func(f *frame) float64 { return math.Max(a(f), b(f)) }
-	case "pow":
-		need(2)
-		a, b := args[0], args[1]
-		return func(f *frame) float64 { return math.Pow(a(f), b(f)) }
+	if len(x.Args) != b.Arity {
+		c.fail("builtin %s expects %d arguments, got %d", x.Fn, b.Arity, len(x.Args))
 	}
-	c.fail("unknown builtin %q", x.Fn)
-	return nil
+	return b
 }
 
 func (c *compiler) compileBool(e BExpr) boolFn {

@@ -1523,18 +1523,5 @@ func (o *optimizer) offsetForm(arr string, subs []IntExpr) *linForm {
 	if d == nil || len(subs) != d.B.Rank() {
 		return nil
 	}
-	total := &linForm{t: map[string]int64{}}
-	for dim, s := range subs {
-		f := intLin(s)
-		if f == nil {
-			return nil
-		}
-		// total = total·extent + (f − lo)
-		total.scale(d.B.Extent(dim))
-		total.c += f.c - d.B.Lo[dim]
-		for name, coeff := range f.t {
-			total.addTerm(name, coeff)
-		}
-	}
-	return total
+	return flatAccess(d, subs)
 }
