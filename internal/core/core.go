@@ -515,7 +515,7 @@ func compileProgram(source *lang.Program, params map[string]int64, opts Options,
 		if opts.Certify {
 			cm = certifyMerge
 		}
-		if err := p.initStream(rep, cm); err != nil {
+		if err := p.initStream(rep, opts.Workers, cm); err != nil {
 			return nil, err
 		}
 	}
@@ -613,6 +613,7 @@ func recordPlanStats(rep *metrics.CompileReport, res *analysis.Result, plan *cod
 	loopir.WalkLoops(plan.Program.Stmts, func(l *loopir.Loop) {
 		rep.Counters.AddSchedule(loopir.ScheduleKind(l))
 	})
+	rep.Counters.AddKernels(plan.Exec.KernelShapes())
 }
 
 // orderDefs topologically orders definitions by array-level reads;

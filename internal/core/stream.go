@@ -52,7 +52,7 @@ func (p *Program) streamDefs() ([]stream.Def, error) {
 // initStream attempts to build the streaming pipeline. certifyMerge,
 // when non-nil, receives the window-legality replay certificates (the
 // certify gate for streams); a falsification aborts via its error.
-func (p *Program) initStream(rep *metrics.CompileReport, certifyMerge func(name string, crep *certify.Report, t0 time.Time) error) error {
+func (p *Program) initStream(rep *metrics.CompileReport, workers int, certifyMerge func(name string, crep *certify.Report, t0 time.Time) error) error {
 	t0 := time.Now()
 	p.streamSt = &streamState{}
 	defs, err := p.streamDefs()
@@ -70,7 +70,7 @@ func (p *Program) initStream(rep *metrics.CompileReport, certifyMerge func(name 
 			}
 		}
 	}
-	pl, err := stream.Build(defs, p.Result, stream.Config{})
+	pl, err := stream.Build(defs, p.Result, stream.Config{Workers: workers})
 	if err != nil {
 		p.streamSt.reason = err.Error()
 		p.note("stream: materialized fallback: %v", err)

@@ -103,9 +103,23 @@ func (e *emitter) emitStencilLoop(x *loopir.Loop) bool {
 		e.line("%s := %s[%s : %s+%d]", sv, e.ident[k.arr], lo, lo, w)
 	}
 	jv := e.fresh("j")
+	// A read of the element the previous iteration stored is that
+	// store's value: carry it in a local from the row's first read on,
+	// so the recurrence does not wait on a store-to-load round trip.
+	carry := sliceKey{a.Array, wlin.Const - 1}
+	cv := ""
+	if reads[carry] {
+		cv = e.fresh("c")
+		e.line("%s := %s[0]", cv, slices[carry])
+	}
 	store := func(idx string) {
-		rhs, _ := stencilExpr(a.Rhs, base, slices, idx)
-		e.line("%s[%s] = %s", slices[dstKey], idx, rhs)
+		rhs, _ := stencilExpr(a.Rhs, base, slices, idx, carry, cv)
+		if cv == "" {
+			e.line("%s[%s] = %s", slices[dstKey], idx, rhs)
+			return
+		}
+		e.line("%s = %s", cv, rhs)
+		e.line("%s[%s] = %s", slices[dstKey], idx, cv)
 	}
 	if w >= stencilUnrollMin {
 		e.line("%s := int64(0)", jv)
@@ -194,30 +208,34 @@ func collectStencilReads(v loopir.VExpr, base string, decl map[string]*loopir.Ar
 }
 
 // stencilExpr renders the body expression with every array access
-// rewritten to its row slice at the given index. The shapes were
-// validated by collectStencilReads; the bool mirrors it defensively.
-func stencilExpr(v loopir.VExpr, base string, slices map[sliceKey]string, idx string) (string, bool) {
+// rewritten to its row slice at the given index, and reads of carry to
+// the variable cv when that is set. The shapes were validated by
+// collectStencilReads; the bool mirrors it defensively.
+func stencilExpr(v loopir.VExpr, base string, slices map[sliceKey]string, idx string, carry sliceKey, cv string) (string, bool) {
 	switch x := v.(type) {
 	case *loopir.VConst:
 		return floatLit(x.Value), true
 	case *loopir.VScalar:
 		return goName(x.Name), true
 	case *loopir.ARef:
-		lin := x.Off.(*loopir.ILin)
-		return fmt.Sprintf("%s[%s]", slices[sliceKey{x.Array, lin.Const}], idx), true
+		k := sliceKey{x.Array, x.Off.(*loopir.ILin).Const}
+		if cv != "" && k == carry {
+			return cv, true
+		}
+		return fmt.Sprintf("%s[%s]", slices[k], idx), true
 	case *loopir.VBin:
-		l, okL := stencilExpr(x.L, base, slices, idx)
-		r, okR := stencilExpr(x.R, base, slices, idx)
+		l, okL := stencilExpr(x.L, base, slices, idx, carry, cv)
+		r, okR := stencilExpr(x.R, base, slices, idx, carry, cv)
 		return fmt.Sprintf("(%s %c %s)", l, x.Op, r), okL && okR
 	case *loopir.VNeg:
-		s, ok := stencilExpr(x.X, base, slices, idx)
+		s, ok := stencilExpr(x.X, base, slices, idx, carry, cv)
 		return fmt.Sprintf("(-%s)", s), ok
 	case *loopir.VCall:
 		args := make([]string, len(x.Args))
 		ok := true
 		for i, a := range x.Args {
 			var okA bool
-			args[i], okA = stencilExpr(a, base, slices, idx)
+			args[i], okA = stencilExpr(a, base, slices, idx, carry, cv)
 			ok = ok && okA
 		}
 		b := runtime.LookupBuiltin(x.Fn)

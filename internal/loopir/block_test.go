@@ -2,6 +2,7 @@ package loopir
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -399,8 +400,9 @@ func TestBlockCheckedStoreFails(t *testing.T) {
 }
 
 // TestBlockStreamWindows runs a stage chunk by chunk over windows that
-// slide by a chunk size that is not a multiple of blockLen: hoisted
-// reads are window subslices at the current shift.
+// slide by a chunk size that is not a multiple of blockLen: the spine's
+// operands are window subslices at the current shift, and its carried
+// read reaches back across the chunk boundary.
 func TestBlockStreamWindows(t *testing.T) {
 	n := int64(3000)
 	mk := func() *Program {
@@ -453,6 +455,9 @@ func TestBlockStreamWindows(t *testing.T) {
 				}
 			}
 			return out
+		}
+		if sh := shapes(mk()); !slices.Contains(sh, ShapeSpine) {
+			t.Fatalf("optimize=%v: the carried recurrence is no spine: %v", opt, sh)
 		}
 		want, got := run(false), run(true)
 		for i := range want {
@@ -513,5 +518,404 @@ func TestBlockGatherAndCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitwise(t, got["y"], want["y"])
+	}
+}
+
+// plansIn returns the block plans of every loop of p, in walk order.
+func plansIn(p *Program) []*blockPlan {
+	var out []*blockPlan
+	WalkLoops(p.Stmts, func(l *Loop) {
+		if plan := planBlock(p, l); plan != nil {
+			out = append(out, plan)
+		}
+	})
+	return out
+}
+
+// shapes lists the plan shapes of p's loops.
+func shapes(p *Program) []string {
+	var out []string
+	for _, plan := range plansIn(p) {
+		out = append(out, plan.shape)
+	}
+	return out
+}
+
+// jacobiNodeSplit is the §9 Jacobi step as node splitting lowers it:
+// a row buffer holds the old row above, prev the old west neighbour,
+// and cur the old element until its store.
+func jacobiNodeSplit(n int64) *Program {
+	ij := func(di, dj int64) []IntExpr { return []IntExpr{lin(di, term("i", 1)), lin(dj, term("j", 1))} }
+	a := func(di, dj int64) *ARef { return &ARef{Array: "a", Subs: ij(di, dj)} }
+	rb := func() *ARef { return &ARef{Array: "rowbuf", Subs: []IntExpr{lin(0, term("j", 1))}} }
+	sum := &VBin{Op: '+', L: &VBin{Op: '+', L: &VBin{Op: '+', L: rb(), R: a(1, 0)}, R: &VScalar{Name: "prev"}}, R: a(0, 1)}
+	return &Program{
+		Name: "jacobi",
+		Arrays: []ArrayDecl{
+			{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleInOut},
+			{Name: "rowbuf", B: b1(2, n-1), Role: RoleTemp},
+		},
+		Scalars: []string{"prev", "cur", "v"},
+		Stmts: []Stmt{
+			&Loop{Var: "j", From: 2, To: n - 1, Step: 1, Body: []Stmt{
+				&Assign{Array: "rowbuf", Subs: []IntExpr{lin(0, term("j", 1))},
+					Rhs: &ARef{Array: "a", Subs: []IntExpr{&IConst{Value: 1}, lin(0, term("j", 1))}}},
+			}},
+			&Loop{Var: "i", From: 2, To: n - 1, Step: 1, Body: []Stmt{
+				&SetScalar{Name: "prev", Rhs: &ARef{Array: "a", Subs: []IntExpr{lin(0, term("i", 1)), &IConst{Value: 1}}}},
+				&Loop{Var: "j", From: 2, To: n - 1, Step: 1, Body: []Stmt{
+					&SetScalar{Name: "v", Rhs: &VBin{Op: '*', L: &VConst{Value: 0.25}, R: sum}},
+					&Assign{Array: "rowbuf", Subs: []IntExpr{lin(0, term("j", 1))}, Rhs: a(0, 0)},
+					&SetScalar{Name: "cur", Rhs: a(0, 0)},
+					&Assign{Array: "a", Subs: ij(0, 0), Rhs: &VScalar{Name: "v"}},
+					&SetScalar{Name: "prev", Rhs: &VScalar{Name: "cur"}},
+				}},
+			}},
+		},
+	}
+}
+
+// TestPhaseJacobi: the node-split Jacobi's inner body runs as a phase
+// block at trip counts around minBlock and blockLen, with prev read as
+// a carry of cur and cur aliasing the row it is stored over.
+func TestPhaseJacobi(t *testing.T) {
+	for _, n := range []int64{20, 130, 300} {
+		for _, opt := range []bool{false, true} {
+			p := blockVsElement(t, func() *Program { return jacobiNodeSplit(n) }, opt, 2)
+			var inner *blockPlan
+			for _, plan := range plansIn(p) {
+				if len(plan.body) == 5 {
+					inner = plan
+				}
+			}
+			if inner == nil || inner.shape != ShapePhase {
+				t.Fatalf("n=%d optimize=%v: inner body has no phase plan: %v", n, opt, shapes(p))
+			}
+			if !slices.Equal(inner.carry[0], []string{"prev"}) || len(inner.carry[4]) != 0 {
+				t.Errorf("n=%d optimize=%v: carries %v", n, opt, inner.carry)
+			}
+		}
+	}
+}
+
+// rowSwap builds the §9 LINPACK row interchange of rows r1 and r2 of a
+// rows×cols matrix through a scalar.
+func rowSwap(rows, cols, r1, r2 int64) *Program {
+	row := func(r int64) []IntExpr { return []IntExpr{&IConst{Value: r}, lin(0, term("j", 1))} }
+	return &Program{
+		Name:    "swap",
+		Arrays:  []ArrayDecl{{Name: "a", B: runtime.NewBounds2(1, 1, rows, cols), Role: RoleInOut}},
+		Scalars: []string{"save"},
+		Stmts: []Stmt{
+			&Loop{Var: "j", From: 1, To: cols, Step: 1, Body: []Stmt{
+				&SetScalar{Name: "save", Rhs: &ARef{Array: "a", Subs: row(r1)}},
+				&Assign{Array: "a", Subs: row(r1), Rhs: &ARef{Array: "a", Subs: row(r2)}},
+				&Assign{Array: "a", Subs: row(r2), Rhs: &VScalar{Name: "save"}},
+			}},
+		},
+	}
+}
+
+// TestPhaseRowSwap: the row swap's stores are 4·cols iterations apart,
+// never less than a block of the cols-iteration loop, so it is always a
+// phase block; save aliases row r1, which phase 3 stores before save
+// is consumed.
+func TestPhaseRowSwap(t *testing.T) {
+	for _, tc := range []struct {
+		cols  int64
+		phase bool
+	}{{64, true}, {300, true}, {20, true}} {
+		for _, opt := range []bool{false, true} {
+			p := blockVsElement(t, func() *Program { return rowSwap(8, tc.cols, 3, 7) }, opt)
+			if got := slices.Contains(shapes(p), ShapePhase); got != tc.phase {
+				t.Errorf("cols=%d optimize=%v: phase plan %v, want %v", tc.cols, opt, got, tc.phase)
+			}
+		}
+	}
+}
+
+// loop1 wraps a body in a loop over i = from..to by step.
+func loop1(from, to, step int64, body ...Stmt) *Loop {
+	return &Loop{Var: "i", From: from, To: to, Step: step, Body: body}
+}
+
+// store1 is arr[i+d] := rhs.
+func store1(arr string, d int64, rhs VExpr) *Assign {
+	return &Assign{Array: arr, Subs: []IntExpr{lin(d, term("i", 1))}, Rhs: rhs}
+}
+
+// phaseProg declares a, b, c over a margin wide enough for every test
+// distance, and the scalars s and t, around the statements; each
+// program gets its own, since the optimizer rewrites them.
+func phaseProg(n int64, stmts func() []Stmt) func() *Program {
+	return func() *Program {
+		m := int64(2*blockLen + 4)
+		return &Program{
+			Name: "ph",
+			Arrays: []ArrayDecl{
+				{Name: "a", B: b1(1-m, n+m), Role: RoleInOut},
+				{Name: "b", B: b1(1-m, n+m), Role: RoleIn},
+				{Name: "c", B: b1(1-m, n+m), Role: RoleInOut},
+			},
+			Scalars: []string{"s", "t"},
+			Stmts:   stmts(),
+		}
+	}
+}
+
+// TestPhaseCarriedScalarAfterLoop: s is read before its assignment (a
+// carry) and its register is stored after the loop.
+func TestPhaseCarriedScalarAfterLoop(t *testing.T) {
+	n := int64(500)
+	mk := phaseProg(n, func() []Stmt {
+		return []Stmt{&SetScalar{Name: "s", Rhs: &VConst{Value: 0.125}},
+			loop1(1, n, 1,
+				store1("a", 0, &VBin{Op: '-', L: &VScalar{Name: "s"}, R: ref1("b", 1)}),
+				&SetScalar{Name: "s", Rhs: &VBin{Op: '*', L: ref1("b", 0), R: &VConst{Value: 3}}},
+				store1("c", 0, &VBin{Op: '/', L: &VScalar{Name: "s"}, R: &VConst{Value: 7}}),
+			),
+			&Assign{Array: "c", Subs: []IntExpr{&IConst{Value: 0}}, Rhs: &VScalar{Name: "s"}}}
+	})
+	for _, opt := range []bool{false, true} {
+		p := blockVsElement(t, mk, opt)
+		plans := plansIn(p)
+		if len(plans) != 1 || plans[0].shape != ShapePhase || !slices.Equal(plans[0].carry[0], []string{"s"}) {
+			t.Fatalf("optimize=%v: plans %v", opt, shapes(p))
+		}
+	}
+}
+
+// TestPhaseScalarRecurrence: s := s*0.5 + b[i] is a true recurrence;
+// the loop keeps the element kernel.
+func TestPhaseScalarRecurrence(t *testing.T) {
+	n := int64(400)
+	mk := phaseProg(n, func() []Stmt {
+		return []Stmt{&SetScalar{Name: "s", Rhs: &VConst{Value: 1}},
+			loop1(1, n, 1,
+				&SetScalar{Name: "s", Rhs: &VBin{Op: '+', L: &VBin{Op: '*', L: &VScalar{Name: "s"}, R: &VConst{Value: 0.5}}, R: ref1("b", 0)}},
+				store1("a", 0, &VScalar{Name: "s"}),
+			)}
+	})
+	for _, opt := range []bool{false, true} {
+		if p := blockVsElement(t, mk, opt); len(plansIn(p)) != 0 {
+			t.Errorf("optimize=%v: scalar recurrence planned %v", opt, shapes(p))
+		}
+	}
+}
+
+// TestPhaseStorePairs: a[i] := b[i]; a[i+e] := c[i]. The second store
+// writes at t−e the element the first writes at t, so a block would
+// reverse them for 1 ≤ e < blockLen.
+func TestPhaseStorePairs(t *testing.T) {
+	n := int64(600)
+	for _, tc := range []struct {
+		e     int64
+		phase bool
+	}{{1, false}, {blockLen - 1, false}, {blockLen, true}, {blockLen + 1, true}, {0, true}, {-1, true}, {-blockLen, true}} {
+		mk := phaseProg(n, func() []Stmt {
+			return []Stmt{loop1(1, n, 1,
+				store1("a", 0, &VBin{Op: '*', L: ref1("b", 0), R: &VConst{Value: 2}}),
+				store1("a", tc.e, &VBin{Op: '+', L: ref1("c", 0), R: &VConst{Value: 1}}),
+			)}
+		})
+		for _, opt := range []bool{false, true} {
+			p := blockVsElement(t, mk, opt)
+			if got := slices.Contains(shapes(p), ShapePhase); got != tc.phase {
+				t.Errorf("e=%d optimize=%v: phase plan %v, want %v", tc.e, opt, got, tc.phase)
+			}
+		}
+	}
+}
+
+// TestPhaseReadAfterStore: c[i] := a[i+d] after a[i] := b[i] reads the
+// element the first statement stored d iterations earlier; d = 0 and
+// 1 ≤ d < blockLen are rejected, and d = −1 is a read of the old
+// value, which phase 3 must copy before a's store overwrites it.
+func TestPhaseReadAfterStore(t *testing.T) {
+	n := int64(500)
+	for _, tc := range []struct {
+		d     int64
+		phase bool
+	}{{0, false}, {1, false}, {blockLen - 1, false}, {blockLen, true}, {-1, true}, {-5, true}} {
+		mk := phaseProg(n, func() []Stmt {
+			return []Stmt{loop1(1, n, 1,
+				store1("a", 0, &VBin{Op: '*', L: ref1("b", 0), R: &VConst{Value: 2}}),
+				store1("c", 0, ref1("a", -tc.d)),
+			)}
+		})
+		for _, opt := range []bool{false, true} {
+			p := blockVsElement(t, mk, opt)
+			if got := slices.Contains(shapes(p), ShapePhase); got != tc.phase {
+				t.Errorf("d=%d optimize=%v: phase plan %v, want %v", tc.d, opt, got, tc.phase)
+			}
+		}
+	}
+}
+
+// TestPhaseNegativeSteps runs a two-statement body with a carried
+// scalar downwards at steps −1 and −2.
+func TestPhaseNegativeSteps(t *testing.T) {
+	n := int64(700)
+	for _, step := range []int64{-1, -2} {
+		mk := phaseProg(n, func() []Stmt {
+			return []Stmt{&SetScalar{Name: "t", Rhs: &VConst{Value: 0.5}},
+				loop1(n, 1, step,
+					store1("a", 0, &VBin{Op: '+', L: ref1("a", -1), R: &VScalar{Name: "t"}}),
+					&SetScalar{Name: "t", Rhs: &VBin{Op: '-', L: ref1("b", -1), R: ref1("a", -2)}},
+				)}
+		})
+		for _, opt := range []bool{false, true} {
+			if p := blockVsElement(t, mk, opt); !slices.Contains(shapes(p), ShapePhase) {
+				t.Errorf("step=%d optimize=%v: no phase plan: %v", step, opt, shapes(p))
+			}
+		}
+	}
+}
+
+// spineCases are right-hand sides over the carried read of a d
+// iterations back: on the left and right of - and /, under VNeg and
+// under two-argument builtins.
+func spineCases(d int64) map[string]VExpr {
+	c := func() VExpr { return ref1("a", -d) }
+	b := func() VExpr { return &VBin{Op: '+', L: ref1("b", 0), R: &VConst{Value: 2}} }
+	return map[string]VExpr{
+		"c-b":      &VBin{Op: '-', L: c(), R: b()},
+		"b-c":      &VBin{Op: '-', L: b(), R: &VBin{Op: '*', L: c(), R: &VConst{Value: 0.5}}},
+		"c/b":      &VBin{Op: '/', L: c(), R: b()},
+		"b/c":      &VBin{Op: '/', L: b(), R: &VBin{Op: '+', L: c(), R: &VConst{Value: 3}}},
+		"neg":      &VBin{Op: '+', L: &VNeg{X: &VBin{Op: '*', L: c(), R: &VConst{Value: 0.5}}}, R: ref1("b", 1)},
+		"max(c,b)": &VBin{Op: '*', L: &VCall{Fn: "max", Args: []VExpr{c(), b()}}, R: &VConst{Value: 0.75}},
+		"pow(b,c)": &VCall{Fn: "pow", Args: []VExpr{&VConst{Value: 0.9}, &VBin{Op: '-', L: c(), R: ref1("b", -1)}}},
+		"scalar":   &VBin{Op: '+', L: &VScalar{Name: "s"}, R: &VBin{Op: '*', L: c(), R: ref1("b", 0)}},
+	}
+}
+
+// TestSpineDistances runs every spine case at d = 1, 2 and blockLen−1,
+// upwards and downwards.
+func TestSpineDistances(t *testing.T) {
+	n := int64(700)
+	for _, d := range []int64{1, 2, blockLen - 1} {
+		for name := range spineCases(d) {
+			for _, step := range []int64{1, -1, -2} {
+				from, to, read := int64(1), n, -d
+				if step < 0 {
+					from, to, read = n, 1, d*-step
+				}
+				mk := phaseProg(n, func() []Stmt {
+					return []Stmt{
+						&SetScalar{Name: "s", Rhs: &VConst{Value: 0.25}},
+						loop1(from, to, step, store1("a", 0, substRead(spineCases(d)[name], -d, read))),
+					}
+				})
+				for _, opt := range []bool{false, true} {
+					p := blockVsElement(t, mk, opt)
+					if sh := shapes(p); !slices.Equal(sh, []string{ShapeSpine}) {
+						t.Errorf("%s d=%d step=%d optimize=%v: shapes %v", name, d, step, opt, sh)
+					}
+				}
+			}
+		}
+	}
+}
+
+// substRead rebuilds e with every read of a at i+from moved to i+to.
+func substRead(e VExpr, from, to int64) VExpr {
+	switch x := e.(type) {
+	case *ARef:
+		if f := intLin(x.Subs[0]); x.Array == "a" && f != nil && f.c == from {
+			return ref1("a", to)
+		}
+	case *VBin:
+		return &VBin{Op: x.Op, L: substRead(x.L, from, to), R: substRead(x.R, from, to)}
+	case *VNeg:
+		return &VNeg{X: substRead(x.X, from, to)}
+	case *VCall:
+		args := make([]VExpr, len(x.Args))
+		for i, arg := range x.Args {
+			args[i] = substRead(arg, from, to)
+		}
+		return &VCall{Fn: x.Fn, Args: args}
+	}
+	return e
+}
+
+// TestSpineRejects: two carried reads, or a carried read under a
+// conditional, leave the single-store block shape.
+func TestSpineRejects(t *testing.T) {
+	n := int64(300)
+	two := phaseProg(n, func() []Stmt {
+		return []Stmt{loop1(1, n, 1, store1("a", 0, &VBin{Op: '+', L: ref1("a", -1), R: ref1("a", -2)}))}
+	})
+	if sh := shapes(blockVsElement(t, two, true)); slices.Contains(sh, ShapeSpine) {
+		t.Errorf("two carried reads: %v", sh)
+	}
+	acc := phaseProg(n, func() []Stmt {
+		return []Stmt{loop1(1, n, 1, &Assign{Array: "a", Subs: []IntExpr{lin(0, term("i", 1))}, CheckBounds: true,
+			Rhs: &VBin{Op: '+', L: ref1("a", -1), R: &VBin{Op: '*', L: ref1("b", 0), R: ref1("b", 1)}}})}
+	})
+	if sh := shapes(blockVsElement(t, acc, false)); !slices.Equal(sh, []string{ShapeBlock}) {
+		t.Errorf("checked store: %v", sh)
+	}
+}
+
+// TestShapesAcrossExecutors: tile rows, wavefront rows and shard
+// chunks run phase and spine kernels at 1–7 workers.
+func TestShapesAcrossExecutors(t *testing.T) {
+	n := int64(130)
+	wave := func() *Program { return liv23Nest(n, true) }
+	p := blockVsElement(t, wave, true, 2, 3, 4, 5, 6, 7)
+	if d := p.Dump(); !strings.Contains(d, "[wavefront") || !slices.Contains(shapes(p), ShapeSpine) {
+		t.Fatalf("no wavefront of spines: %v\n%s", shapes(p), d)
+	}
+	tiled := func() *Program {
+		return &Program{
+			Name: "tile",
+			Arrays: []ArrayDecl{
+				{Name: "a", B: runtime.NewBounds2(1, 1, n, n), Role: RoleOut},
+				{Name: "b", B: runtime.NewBounds2(1, 1, n, n), Role: RoleIn},
+			},
+			Stmts: []Stmt{
+				&Loop{Var: "i", From: 1, To: n, Step: 1, Parallel: true, Body: []Stmt{
+					&Loop{Var: "j", From: 1, To: n, Step: 1, Body: []Stmt{
+						&Assign{Array: "a", Subs: []IntExpr{lin(0, term("i", 1)), lin(0, term("j", 1))}, Rhs: ref2("b", 0, 0)},
+					}},
+				}},
+			},
+		}
+	}
+	p = blockVsElement(t, tiled, true, 2, 3, 4, 5, 6, 7)
+	if d := p.Dump(); !strings.Contains(d, "[tile") || !slices.Contains(shapes(p), ShapePhase) {
+		t.Fatalf("no tile of phase blocks: %v\n%s", shapes(p), d)
+	}
+	m := int64(5003)
+	shard := phaseProg(m, func() []Stmt {
+		return []Stmt{&Loop{Var: "i", From: 1, To: m, Step: 1, Parallel: true, Body: []Stmt{
+			store1("a", 0, &VBin{Op: '*', L: ref1("b", -1), R: ref1("b", 1)}),
+			store1("c", 0, &VBin{Op: '-', L: ref1("b", 0), R: &VConst{Value: 1}}),
+		}}}
+	})
+	p = blockVsElement(t, shard, true, 2, 3, 4, 5, 6, 7)
+	if d := p.Dump(); !strings.Contains(d, "shard") || !slices.Contains(shapes(p), ShapePhase) {
+		t.Fatalf("no shard of phase blocks: %v\n%s", shapes(p), d)
+	}
+}
+
+// TestPhaseSharedReadNode: one read node shared by statements before
+// and after a store of its element is judged per statement.
+func TestPhaseSharedReadNode(t *testing.T) {
+	n := int64(300)
+	mk := phaseProg(n, func() []Stmt {
+		shared := ref1("a", 0)
+		return []Stmt{loop1(1, n, 1,
+			store1("c", 0, shared),
+			store1("a", 0, &VBin{Op: '*', L: ref1("b", 0), R: &VConst{Value: 2}}),
+			&SetScalar{Name: "s", Rhs: shared},
+			store1("c", -1, &VScalar{Name: "s"}),
+		)}
+	})
+	for _, opt := range []bool{false, true} {
+		if p := blockVsElement(t, mk, opt); len(plansIn(p)) != 0 {
+			t.Errorf("optimize=%v: a d = 0 read after its store planned: %v", opt, shapes(p))
+		}
 	}
 }

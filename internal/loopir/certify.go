@@ -2,6 +2,7 @@ package loopir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"arraycomp/internal/certify"
@@ -326,16 +327,25 @@ enumLoop:
 	}
 }
 
-// Certification of block kernels. planBlock hoists a subtree only when
-// none of its reads can see an element that the loop's own store
-// writes earlier in the same block. The certifier replays that claim
-// by enumeration, independently of the planner's distance arithmetic:
-// over the loop's clamped iteration space it records the iterations
-// that write each element, then falsifies the plan when a hoisted read
-// at iteration t lands on an element written at an iteration t' with
-// 0 < t − t' < blockLen — the only pairs whose order a block reverses.
-// Enclosing loop variables must enter the store and the read with
+// Certification of block kernels. The certifier replays each plan by
+// enumeration, independently of the planner's distance arithmetic,
+// over the loop's first certify.ShadowClamp iterations. Enclosing loop
+// variables must enter every access of an array the body stores with
 // equal coefficients, so they cancel out of element equality.
+//
+//   - block and spine plans: it records the iterations that write each
+//     element, then falsifies the plan when a hoisted read at
+//     iteration t lands on an element written at an iteration t' with
+//     0 < t − t' < blockLen — the only pairs whose order a block
+//     reverses. A spine's carried leaf runs in element order and is
+//     not hoisted.
+//   - phase plans: it runs the body twice, in element order and in
+//     the plan's phase order (all reads of a block against the state
+//     before it, scalar reads from the claimed same-iteration or carry
+//     vectors, then the stores statement by statement), tagging every
+//     value with the statement and iteration that produced it. Every
+//     value read, every final element and every scalar's final value
+//     must carry the same tag in both runs.
 
 // CertifyBlocks audits the block kernel of every loop in p that
 // planBlock accepts.
@@ -351,6 +361,9 @@ func CertifyBlocks(p *Program) *certify.Report {
 
 // certifyBlock replays one loop's block plan.
 func certifyBlock(l *Loop, plan *blockPlan) certify.Certificate {
+	if plan.shape == ShapePhase {
+		return certifyPhases(l, plan)
+	}
 	a := plan.a
 	claim := fmt.Sprintf("loop %s: block kernel's hoisted reads see no store of their block", l.Var)
 	result := func(st certify.Status, witness []int64, detail string) certify.Certificate {
@@ -392,15 +405,6 @@ func certifyBlock(l *Loop, plan *blockPlan) certify.Certificate {
 	if len(reads) == 0 {
 		return certify.Certificate{Layer: "block", Claim: claim, Status: certify.Certified, Exhaustive: true}
 	}
-	lins := func(subs []IntExpr) []*linForm {
-		out := make([]*linForm, len(subs))
-		for k, s := range subs {
-			if out[k] = intLin(s); out[k] == nil {
-				return nil
-			}
-		}
-		return out
-	}
 	w := lins(a.Subs)
 	if w == nil {
 		return result(certify.Falsified, nil, fmt.Sprintf("a hoisted read of %s under an indirect store", a.Array))
@@ -410,31 +414,18 @@ func certifyBlock(l *Loop, plan *blockPlan) certify.Certificate {
 		if rs[k] = lins(subs); rs[k] == nil || len(rs[k]) != len(w) {
 			return result(certify.Skipped, nil, "non-affine hoisted read")
 		}
-		for d := range w {
-			for _, pair := range [][2]*linForm{{rs[k][d], w[d]}, {w[d], rs[k][d]}} {
-				for v, c := range pair[0].t {
-					if v != l.Var && pair[1].t[v] != c {
-						return result(certify.Skipped, nil, "enclosing-variable coefficients differ")
-					}
-				}
-			}
+		if !sameEnclosing(rs[k], w, l.Var) {
+			return result(certify.Skipped, nil, "enclosing-variable coefficients differ")
 		}
 	}
 	trip := tripCount(l.From, l.To, l.Step)
 	n := min(trip, certify.ShadowClamp)
-	exhaustive := trip <= certify.ShadowClamp
-	// elem renders the subscripts of f at iteration t into key.
+	exhaustive := trip <= n
 	var key []byte
 	elem := func(f []*linForm, t int64) bool {
-		var s deptest.SatOps
-		key = key[:0]
-		for k, d := range f {
-			if k > 0 {
-				key = append(key, ',')
-			}
-			key = strconv.AppendInt(key, s.Add(d.c, s.Mul(d.t[l.Var], s.Add(l.From, s.Mul(t, l.Step)))), 10)
-		}
-		return !s.Overflowed
+		var ok bool
+		key, ok = appendElem(key[:0], l, f, t)
+		return ok
 	}
 	writes := map[string][]int64{}
 	for t := range n {
@@ -461,6 +452,257 @@ func certifyBlock(l *Loop, plan *blockPlan) certify.Certificate {
 				exhaustive = false
 				break
 			}
+		}
+	}
+	return certify.Certificate{Layer: "block", Claim: claim, Status: certify.Certified, Exhaustive: exhaustive}
+}
+
+// lins is subs as affine forms, or nil when one is not affine.
+func lins(subs []IntExpr) []*linForm {
+	out := make([]*linForm, len(subs))
+	for k, s := range subs {
+		if out[k] = intLin(s); out[k] == nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// sameEnclosing reports whether two accesses of one array give every
+// variable but loopVar the same coefficient in each dimension, so that
+// those variables cancel out of element equality.
+func sameEnclosing(a, b []*linForm, loopVar string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for d := range a {
+		for _, pair := range [][2]*linForm{{a[d], b[d]}, {b[d], a[d]}} {
+			for v, c := range pair[0].t {
+				if v != loopVar && pair[1].t[v] != c {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// appendElem renders the element f addresses at iteration t of l, with
+// enclosing variables at zero, onto key; false on overflow.
+func appendElem(key []byte, l *Loop, f []*linForm, t int64) ([]byte, bool) {
+	var s deptest.SatOps
+	for k, d := range f {
+		if k > 0 {
+			key = append(key, ',')
+		}
+		key = strconv.AppendInt(key, s.Add(d.c, s.Mul(d.t[l.Var], s.Add(l.From, s.Mul(t, l.Step)))), 10)
+	}
+	return key, !s.Overflowed
+}
+
+// phaseAccess is one array access of a phase-plan replay.
+type phaseAccess struct {
+	arr string
+	f   []*linForm
+}
+
+// certifyPhases replays a phase plan against element order.
+func certifyPhases(l *Loop, plan *blockPlan) certify.Certificate {
+	claim := fmt.Sprintf("loop %s: phase block of %d statements reads and leaves what element order does", l.Var, len(plan.body))
+	result := func(st certify.Status, witness []int64, detail string) certify.Certificate {
+		return certify.Certificate{Layer: "block", Claim: claim, Status: st, Witness: witness, Detail: detail}
+	}
+	nb := len(plan.body)
+	stored := map[string]bool{}
+	assigned := map[string]int{}
+	for k, s := range plan.body {
+		switch x := s.(type) {
+		case *Assign:
+			stored[x.Array] = true
+		case *SetScalar:
+			assigned[x.Name] = k
+		}
+	}
+	// Per statement: its reads of stored arrays, the body scalars it
+	// reads, and its store.
+	reads := make([][]phaseAccess, nb)
+	scalars := make([][]string, nb)
+	stores := make([]*phaseAccess, nb)
+	firstAccess := map[string][]*linForm{}
+	enclosingOK := func(acc phaseAccess) bool {
+		first, seen := firstAccess[acc.arr]
+		if !seen {
+			firstAccess[acc.arr] = acc.f
+			return true
+		}
+		return sameEnclosing(acc.f, first, l.Var)
+	}
+	var bad string
+	add := func(k int, arr string, subs []IntExpr) {
+		if !stored[arr] || bad != "" {
+			return
+		}
+		acc := phaseAccess{arr: arr, f: lins(subs)}
+		switch {
+		case acc.f == nil:
+			bad = "non-affine access"
+		case !enclosingOK(acc):
+			bad = "enclosing-variable coefficients differ"
+		}
+		reads[k] = append(reads[k], acc)
+	}
+	var walk func(k int, e VExpr) bool
+	walk = func(k int, e VExpr) bool {
+		switch x := e.(type) {
+		case *ARef:
+			if g := gatherIndex(x); g != nil {
+				if stored[x.Array] {
+					return false
+				}
+				add(k, g.Array, g.Subs)
+			} else {
+				add(k, x.Array, x.Subs)
+			}
+		case *VScalar:
+			if _, ok := assigned[x.Name]; ok {
+				scalars[k] = append(scalars[k], x.Name)
+			}
+		case *VBin:
+			return walk(k, x.L) && walk(k, x.R)
+		case *VNeg:
+			return walk(k, x.X)
+		case *VCall:
+			for _, arg := range x.Args {
+				if !walk(k, arg) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for k, s := range plan.body {
+		if !walk(k, stmtRhs(s)) {
+			return result(certify.Falsified, []int64{int64(k)}, fmt.Sprintf("statement %d gathers through an array the loop stores", k))
+		}
+		if a, ok := s.(*Assign); ok {
+			acc := phaseAccess{arr: a.Array, f: lins(a.Subs)}
+			if acc.f == nil {
+				return result(certify.Skipped, nil, "non-affine store")
+			}
+			if !enclosingOK(acc) {
+				bad = "enclosing-variable coefficients differ"
+			}
+			stores[k] = &acc
+		}
+	}
+	if bad != "" {
+		return result(certify.Skipped, nil, bad)
+	}
+
+	trip := tripCount(l.From, l.To, l.Step)
+	limit := min(int64(blockLen), trip)
+	n := min(trip, certify.ShadowClamp)
+	exhaustive := trip <= n
+	// A value's tag: 0 for the state before the loop, else the
+	// statement and iteration that produced it.
+	tag := func(k int, t int64) int64 { return 1 + t*int64(nb) + int64(k) }
+	var key []byte
+	elemKey := func(acc *phaseAccess, t int64) (string, bool) {
+		key = append(key[:0], acc.arr...)
+		key = append(key, '[')
+		var ok bool
+		key, ok = appendElem(key, l, acc.f, t)
+		return string(key), ok
+	}
+	carried := func(k int, name string) bool { return slices.Contains(plan.carry[k], name) }
+	// Both runs record their reads in the same sequence.
+	var elemReads, phaseReads []int64
+	memE, memP := map[string]int64{}, map[string]int64{}
+	scE, regP := map[string]int64{}, map[string]int64{}
+	for t := range n {
+		for k := range plan.body {
+			for r := range reads[k] {
+				kk, ok := elemKey(&reads[k][r], t)
+				if !ok {
+					return result(certify.Skipped, nil, "subscript overflow")
+				}
+				elemReads = append(elemReads, memE[kk])
+			}
+			for _, name := range scalars[k] {
+				elemReads = append(elemReads, scE[name])
+			}
+			if st := stores[k]; st != nil {
+				kk, ok := elemKey(st, t)
+				if !ok {
+					return result(certify.Skipped, nil, "subscript overflow")
+				}
+				memE[kk] = tag(k, t)
+			} else {
+				scE[plan.body[k].(*SetScalar).Name] = tag(k, t)
+			}
+		}
+	}
+	for b0 := int64(0); b0 < n; b0 += limit {
+		m := min(limit, n-b0)
+		for t := b0; t < b0+m; t++ {
+			for k := range plan.body {
+				for r := range reads[k] {
+					kk, _ := elemKey(&reads[k][r], t)
+					phaseReads = append(phaseReads, memP[kk])
+				}
+				for _, name := range scalars[k] {
+					j := assigned[name]
+					switch {
+					case !carried(k, name):
+						phaseReads = append(phaseReads, tag(j, t))
+					case t == b0:
+						phaseReads = append(phaseReads, regP[name])
+					default:
+						phaseReads = append(phaseReads, tag(j, t-1))
+					}
+				}
+			}
+		}
+		for name, j := range assigned {
+			regP[name] = tag(j, b0+m-1)
+		}
+		for k, st := range stores {
+			for t := b0; st != nil && t < b0+m; t++ {
+				kk, _ := elemKey(st, t)
+				memP[kk] = tag(k, t)
+			}
+		}
+	}
+	describe := func(v int64) string {
+		if v == 0 {
+			return "the value before the loop"
+		}
+		return fmt.Sprintf("statement %d's value of iteration %d", (v-1)%int64(nb), (v-1)/int64(nb))
+	}
+	// readStmt is the statement of each read of one iteration.
+	var readStmt []int
+	for k := range plan.body {
+		for range len(reads[k]) + len(scalars[k]) {
+			readStmt = append(readStmt, k)
+		}
+	}
+	for i, v := range elemReads {
+		if w := phaseReads[i]; w != v {
+			t, k := int64(i/len(readStmt)), readStmt[i%len(readStmt)]
+			return result(certify.Falsified, []int64{t, int64(k)},
+				fmt.Sprintf("statement %d at iteration %d reads %s in element order but %s in phase order", k, t, describe(v), describe(w)))
+		}
+	}
+	for kk, v := range memE {
+		if memP[kk] != v {
+			return result(certify.Falsified, nil,
+				fmt.Sprintf("%s ends as %s in element order but %s in phase order", kk, describe(v), describe(memP[kk])))
+		}
+	}
+	for name, v := range scE {
+		if regP[name] != v {
+			return result(certify.Falsified, nil,
+				fmt.Sprintf("scalar %s ends as %s in element order but %s in phase order", name, describe(v), describe(regP[name])))
 		}
 	}
 	return certify.Certificate{Layer: "block", Claim: claim, Status: certify.Certified, Exhaustive: exhaustive}

@@ -1,6 +1,7 @@
 package loopir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -256,9 +257,14 @@ func TestCertifyBlocks(t *testing.T) {
 		t.Fatalf("liv23: %s", rep)
 	}
 
+	// The d = 1 recurrence is a spine: its carried read runs in element
+	// order and must not be hoisted.
 	p := selfRecurrence(200, 1, 200, 1, 1)()
 	l := p.Stmts[0].(*Loop)
 	plan := planBlock(p, l)
+	if plan.shape != ShapeSpine {
+		t.Fatalf("d = 1 recurrence planned as %s", plan.shape)
+	}
 	carried := plan.a.Rhs.(*VBin).L // 0.5 * a[i-1]
 	for _, h := range plan.hoisted {
 		if h == carried {
@@ -274,5 +280,51 @@ func TestCertifyBlocks(t *testing.T) {
 	rep.Record(cert)
 	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "[block]") {
 		t.Fatalf("report error does not name the layer: %v", err)
+	}
+}
+
+// TestCertifyPhasePlans: the planner's phase plans replay clean, and
+// forged phase plans falsify, naming the block layer: a d = 0 read
+// after its store, two stores a block would swap, and scalar reads
+// claimed from the wrong iteration.
+func TestCertifyPhasePlans(t *testing.T) {
+	for _, p := range []*Program{jacobiNodeSplit(130), jacobiNodeSplit(20), rowSwap(8, 300, 3, 7)} {
+		for _, opt := range []bool{false, true} {
+			if opt {
+				Optimize(p)
+			}
+			rep := CertifyBlocks(p)
+			if rep.FalsifiedCount != 0 || rep.CertifiedCount == 0 {
+				t.Fatalf("%s optimize=%v: %s", p.Name, opt, rep)
+			}
+		}
+	}
+	n := int64(500)
+	twice := func(arr string) VExpr { return &VBin{Op: '*', L: ref1(arr, 0), R: &VConst{Value: 2}} }
+	for _, tc := range []struct {
+		name  string
+		body  []Stmt
+		carry [][]string
+	}{
+		{"d = 0 read after its store", []Stmt{store1("a", 0, twice("b")), store1("c", 0, ref1("a", 0))}, [][]string{nil, nil}},
+		{"stores swapped in a block", []Stmt{store1("a", 0, twice("b")), store1("a", 1, twice("c"))}, [][]string{nil, nil}},
+		{"same-iteration read claimed as a carry", []Stmt{&SetScalar{Name: "s", Rhs: twice("b")}, store1("a", 0, &VScalar{Name: "s"})}, [][]string{nil, {"s"}}},
+		{"carry claimed as a same-iteration read", []Stmt{store1("a", 0, &VScalar{Name: "s"}), &SetScalar{Name: "s", Rhs: twice("b")}}, [][]string{nil, nil}},
+	} {
+		p := phaseProg(n, func() []Stmt { return []Stmt{loop1(1, n, 1, tc.body...)} })()
+		l := p.Stmts[0].(*Loop)
+		if plan := planBlock(p, l); plan != nil && slices.EqualFunc(plan.carry, tc.carry, slices.Equal) {
+			t.Fatalf("%s: the planner makes the forged plan", tc.name)
+		}
+		forged := &blockPlan{shape: ShapePhase, body: l.Body, carry: tc.carry, order: []int{0, 1}, hoisted: []VExpr{stmtRhs(l.Body[0]), stmtRhs(l.Body[1])}}
+		cert := certifyBlock(l, forged)
+		if cert.Status != certify.Falsified || cert.Layer != "block" {
+			t.Fatalf("%s: %s", tc.name, cert)
+		}
+		rep := certify.NewReport()
+		rep.Record(cert)
+		if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "[block]") {
+			t.Fatalf("%s: report error does not name the layer: %v", tc.name, err)
+		}
 	}
 }

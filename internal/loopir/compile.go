@@ -38,6 +38,10 @@ type frame struct {
 	scratch []float64
 	bi      int
 	dst     []float64
+	// vals holds a phase block's statement values, and spine the
+	// running spine's ops with their operand vectors.
+	vals  []blockVal
+	spine []spineOp
 }
 
 type (
@@ -62,6 +66,8 @@ type compiler struct {
 	// window marks the array slots a stream stage reads and writes
 	// through a sliding window (see stage.go); nil for whole programs.
 	window []bool
+	// shapes counts the compiled loops by range-kernel shape.
+	shapes map[string]int
 }
 
 // verifyHookBox lets an observer record runtime verification verdicts.
@@ -89,7 +95,13 @@ type Exec struct {
 	arraySlots map[string]int
 	workers    int
 	hook       *verifyHookBox
+	shapes     map[string]int
 }
+
+// KernelShapes counts the program's compiled loops by range-kernel
+// shape (ShapePhase, ShapeBlock, ShapeSpine, ShapeStencil,
+// ShapeGeneric). The map is shared; callers must not modify it.
+func (ex *Exec) KernelShapes() map[string]int { return ex.shapes }
 
 // SetVerifyHook installs an observer called once per runtime
 // index-property verification with the claims checked and the verdict.
@@ -115,6 +127,7 @@ func Compile(p *Program) (ex *Exec, err error) {
 		floatSlots: c.floatSlots,
 		arraySlots: c.arraySlots,
 		hook:       c.hook,
+		shapes:     c.shapes,
 	}, nil
 }
 
@@ -139,6 +152,7 @@ func newCompiler(p *Program) *compiler {
 		arraySlots: map[string]int{},
 		fp:         &framePool{},
 		hook:       &verifyHookBox{},
+		shapes:     map[string]int{},
 	}
 	for i, d := range p.Arrays {
 		if _, dup := c.arraySlots[d.Name]; dup {
@@ -338,12 +352,14 @@ func (c *compiler) compileLoop(x *Loop) *cLoop {
 	for i, ind := range x.Inds {
 		l.inds[i] = cInd{slot: c.intSlots[ind.Name], init: c.compileInt(ind.Init), step: ind.Step}
 	}
+	shape := ShapeStencil
 	if l.run = c.compileStencilLoop(x, l.inds, nil); l.run == nil {
-		l.run = c.genericLoop(x, l)
+		l.run, shape = c.genericLoop(x, l), ShapeGeneric
 	}
-	if blk := c.compileBlockLoop(x, l, l.run); blk != nil {
-		l.run = blk
+	if blk, s := c.compileBlockLoop(x, l, l.run); blk != nil {
+		l.run, shape = blk, s
 	}
+	c.shapes[shape]++
 	return l
 }
 

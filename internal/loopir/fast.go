@@ -1,16 +1,31 @@
 package loopir
 
 // Specialized range kernels. A loop's range kernel (compileLoop) takes
-// one of three shapes, chosen by its body:
+// one of five shapes, chosen by its body (planBlock, then the stencil
+// recognizer):
 //
-//   - block: the body is one Assign and some right-hand-side subtrees
-//     do not depend on values the loop itself writes nearby. Those
-//     subtrees run a block of up to blockLen iterations at a time, as
-//     tight loops over array subslices and per-frame scratch; what
-//     remains runs per element and reads the block's results from
-//     scratch. When nothing but the store remains, the block is
-//     written straight into the destination slice (a unit-stride copy
-//     is the degenerate case: one copy per block).
+//   - phase block: a straight-line body of SetScalar and plain affine
+//     Assign statements whose every right-hand side can run a block of
+//     up to blockLen iterations at a time. Each block runs in three
+//     phases: every right-hand side as block operations over array
+//     subslices and per-frame scratch (a scalar assigned in the body
+//     becomes a vector, read in the same iteration or, before its
+//     assignment, as a one-iteration carry); every body scalar's
+//     register set to its last-iteration value; the stores, statement
+//     by statement in body order. A fully hoisted single Assign is the
+//     one-statement case; a unit-stride copy is one copy per block.
+//   - single-store block: the body is one Assign whose store or
+//     right-hand side cannot run whole (an accumulate, a checked or
+//     indirect store, a carried read). Its maximal block-evaluable
+//     subtrees run a block at a time; the residual runs per element
+//     through the stencil row or generic closures, reading the block's
+//     values from scratch.
+//   - spine: the body is one plain affine Assign whose right-hand side
+//     has exactly one leaf a block cannot evaluate, a read of the
+//     stored array d iterations back (1 ≤ d < block), under a chain of
+//     arithmetic and builtin nodes. The chain's other operands run a
+//     block at a time; the chain itself runs as a flat op list, one
+//     element after another, with the carried value in one local.
 //   - stencil row: the body is one offset-form Assign over a single
 //     unit-stride register; the closure tree takes the register as an
 //     argument and skips all loop-variable bookkeeping.
@@ -18,19 +33,21 @@ package loopir
 //
 // An earlier revision compiled straight-line bodies to postfix tapes
 // run by a small stack VM. It dispatched one instruction per IR node
-// per element, and that dispatch cost more than the closure tree it
-// replaced. The block kernel also interprets the tree, but it
-// dispatches once per node per block: each closure call runs a loop
-// of up to blockLen element operations with no calls inside, so the
-// dispatch cost is divided by the block length instead of paid per
-// element.
+// per element, with every operand passing through its stack, and that
+// cost more than the closure tree it replaced. Block operations
+// also interpret the tree, but dispatch once per node per block: each
+// closure call runs a loop of up to blockLen element operations with
+// no calls inside. The spine does dispatch per node per element, but
+// it is a one-register machine: the carried value stays in a local,
+// each op reads one operand from a block vector, and no closure is
+// called, so an op costs a switch and a load where a closure node
+// costs a call, a return and its children's calls.
 //
 // Results are bitwise identical to the element kernels: each element
 // sees the same float operations on the same operands in the same
-// order; only when a hoisted subtree runs changes. The hoisting rule
-// (planBlock) guarantees that this cannot change a value read: a
-// hoisted read never touches an element the loop's own store writes
-// earlier in the same block.
+// order; only when an operation runs changes. The planner's distance
+// rule guarantees that this cannot change a value read or a value left
+// in memory, and CertifyBlocks replays each plan against element order.
 
 import (
 	"slices"
@@ -47,82 +64,338 @@ const (
 	minBlock = 16
 )
 
+// Range-kernel shapes, as compile reports count them.
+const (
+	ShapePhase   = "phase"
+	ShapeBlock   = "block"
+	ShapeSpine   = "spine"
+	ShapeStencil = "stencil"
+	ShapeGeneric = "generic"
+)
+
 // noBlockKernels turns block kernels off at compile time. Only tests
 // set it, to hold block kernels bitwise against the element kernels.
 var noBlockKernels bool
 
-// --- hoisting legality ---
+// --- plans ---
 
-// blockPlan is the block kernel's verdict for a loop whose body is one
-// Assign: the maximal right-hand-side subtrees evaluated a block at a
-// time, in tree order. When hoisted[0] is the whole right-hand side,
-// nothing but the store runs per element.
+// blockPlan is planBlock's verdict for a loop.
 type blockPlan struct {
-	a       *Assign
-	hoisted []VExpr
-}
-
-// blockPlanner carries one loop's hoisting analysis.
-type blockPlanner struct {
-	p *Program
-	x *Loop
+	shape string
+	// a is the body's one Assign: always for block and spine plans,
+	// and for a one-statement phase plan that stores.
 	a *Assign
-	// w is the store's row-major offset as an affine form over the
-	// loop variables when the right-hand side reads the stored array;
-	// nil for an indirect store.
-	w *linForm
-	// limit is the longest block a kernel call can run: blockLen,
-	// or the trip count when that is shorter.
-	limit int64
+	// hoisted are the subtrees evaluated a block at a time: a block
+	// plan's maximal hoistable subtrees in tree order, a spine's
+	// operands from the carried leaf up, a phase plan's right-hand
+	// sides in body order.
+	hoisted []VExpr
+	// spine is the path from a spine plan's right-hand side down to
+	// its carried leaf, and rd the leaf's offset from the store's.
+	spine []VExpr
+	rd    int64
+	// A phase plan's body; carry[k] names the body scalars statement k
+	// reads as one-iteration carries, and order is phase 1's statement
+	// order (every scalar's statement before its readers).
+	body  []Stmt
+	carry [][]string
+	order []int
 }
 
-// planBlock decides which subtrees of x's single Assign run a block at
-// a time, or returns nil when the block kernel would hoist nothing
-// worth a block or x is too short to run one. A subtree is hoistable when every leaf is a constant,
-// a scalar, or an unchecked read whose offset is affine in the
-// iteration (directly, or as an unchecked gather through such a read),
-// with no conditional, checked access or integer division anywhere in
-// it. A read of the stored array is hoistable only when the store is
-// direct and the read lands on the element the store writes d
-// iterations earlier with d ≤ 0 (not yet written) or d ≥ the longest
-// block (written by an earlier block).
+// blockStore is one store of a body, as the distance rule sees it: the
+// statement, and for an affine store its row-major offset form and
+// per-iteration stride, built on first use.
+type blockStore struct {
+	stmt     int
+	array    string
+	subs     []IntExpr
+	indirect bool
+	w        *linForm
+	ws       int64
+}
+
+// form returns the store's offset form and stride, or nil for an
+// indirect store.
+func (bp *blockPlanner) form(s *blockStore) (*linForm, int64) {
+	if s.w == nil && !s.indirect {
+		d := bp.p.Decl(s.array)
+		s.w, s.ws = flatAccess(d, s.subs), offsetStride(bp.x, d, s.subs, nil)
+		s.indirect = s.w == nil
+	}
+	return s.w, s.ws
+}
+
+// blockPlanner carries one loop's analysis.
+type blockPlanner struct {
+	p      *Program
+	x      *Loop
+	stores []blockStore
+	// k is the statement whose right-hand side is being analysed.
+	k int
+	// limit is the longest block a kernel call can run: blockLen, or
+	// the trip count when that is shorter.
+	limit int64
+	// leaves, set for a one-statement body, remembers leafOK's
+	// verdicts, so the single-Assign shapes re-walk the right-hand side
+	// cheaply.
+	leaves  []leafVerdict
+	leafBuf [16]leafVerdict
+}
+
+// leafVerdict is a remembered leafOK verdict.
+type leafVerdict struct {
+	r  *ARef
+	ok bool
+}
+
+// planBlock picks x's block kernel shape, or returns nil when x is too
+// short to run a block, its body holds a conditional or a loop, or a
+// block would evaluate nothing worth it.
+//
+// A subtree is block-evaluable when every leaf is a constant, a scalar,
+// an affine integer converted to float, or an unchecked read whose
+// offset is affine in the iteration (directly, or as an unchecked
+// gather through such a read), with no conditional, checked access or
+// integer division in it. A read of an array the body stores must see
+// the state before the block: judged against every store with the
+// distance d (how many iterations earlier the store writes the element
+// read), it needs d < 0, d = 0 with the store made by the same or a
+// later statement, d ≥ the longest block, or no iteration's store
+// writing it at all.
 func planBlock(p *Program, x *Loop) *blockPlan {
 	trip := tripCount(x.From, x.To, x.Step)
-	if len(x.Body) != 1 || trip < minBlock {
+	if trip < minBlock || len(x.Body) == 0 {
 		return nil // every range runs the element kernel
+	}
+	for _, s := range x.Body {
+		switch s.(type) {
+		case *Assign, *SetScalar:
+		default:
+			return nil
+		}
+	}
+	bp := &blockPlanner{p: p, x: x, limit: min(blockLen, trip)}
+	if len(x.Body) == 1 {
+		bp.leaves = bp.leafBuf[:0]
+	}
+	if plan := bp.phases(); plan != nil || len(x.Body) != 1 {
+		return plan
 	}
 	a, ok := x.Body[0].(*Assign)
 	if !ok {
 		return nil
 	}
-	d := p.Decl(a.Array)
-	if d == nil || len(a.Subs) != d.B.Rank() {
+	// phases recorded a's store unless a phase block cannot store it.
+	if len(bp.stores) == 0 && !bp.addStore(0, a) {
 		return nil
-	}
-	bp := &blockPlanner{p: p, x: x, a: a, limit: min(blockLen, trip)}
-	if readsArray(a.Rhs, a.Array) {
-		bp.w = flatAccess(d, a.Subs)
 	}
 	var out []VExpr
 	if bp.collect(a.Rhs, &out) {
 		// A lone leaf on the right only pays when the block stores it
-		// without a per-element residual.
-		if !worthHoisting(a.Rhs) && !blockStores(p, a) {
+		// without a per-element residual, which a phase plan would.
+		if !worthHoisting(a.Rhs) {
 			return nil
 		}
-		out = []VExpr{a.Rhs}
+		return &blockPlan{shape: ShapeBlock, a: a, hoisted: []VExpr{a.Rhs}}
+	}
+	if blockStores(p, a) {
+		if plan := bp.spinePlan(a); plan != nil {
+			return plan
+		}
 	}
 	if len(out) == 0 {
 		return nil
 	}
-	return &blockPlan{a: a, hoisted: out}
+	return &blockPlan{shape: ShapeBlock, a: a, hoisted: out}
+}
+
+// phases plans x's body as a phase block, or returns nil.
+func (bp *blockPlanner) phases() *blockPlan {
+	body := bp.x.Body
+	var assigned map[string]int // body scalar → its statement
+	for k, s := range body {
+		switch st := s.(type) {
+		case *SetScalar:
+			if _, dup := assigned[st.Name]; dup || !slices.Contains(bp.p.Scalars, st.Name) {
+				return nil
+			}
+			if assigned == nil {
+				assigned = map[string]int{}
+			}
+			assigned[st.Name] = k
+		case *Assign:
+			if !blockStores(bp.p, st) || !bp.addStore(k, st) {
+				return nil
+			}
+		}
+	}
+	if !bp.storesOrdered() {
+		return nil
+	}
+	plan := &blockPlan{shape: ShapePhase, body: body, carry: make([][]string, len(body))}
+	var deps [][]int
+	if assigned != nil {
+		deps = make([][]int, len(body))
+	}
+	for k, s := range body {
+		bp.k = k
+		rhs := stmtRhs(s)
+		var out []VExpr
+		if !bp.collect(rhs, &out) {
+			return nil
+		}
+		plan.hoisted = append(plan.hoisted, rhs)
+		if assigned == nil {
+			continue
+		}
+		for _, name := range scalarReads(rhs, nil) {
+			j, ok := assigned[name]
+			if !ok {
+				continue
+			}
+			deps[k] = append(deps[k], j)
+			if j >= k {
+				plan.carry[k] = append(plan.carry[k], name)
+			}
+		}
+	}
+	if deps == nil {
+		plan.order = make([]int, len(body))
+		for k := range plan.order {
+			plan.order[k] = k
+		}
+	} else if order, ok := topoOrder(deps); ok {
+		plan.order = order
+	} else {
+		return nil // a scalar recurrence stays per element
+	}
+	if a, isA := body[0].(*Assign); isA && len(body) == 1 {
+		plan.a = a
+	}
+	return plan
+}
+
+// stmtRhs is a phase-plan statement's right-hand side.
+func stmtRhs(s Stmt) VExpr {
+	if a, ok := s.(*Assign); ok {
+		return a.Rhs
+	}
+	return s.(*SetScalar).Rhs
+}
+
+// scalarReads appends the distinct scalars e reads to out.
+func scalarReads(e VExpr, out []string) []string {
+	switch x := e.(type) {
+	case *VScalar:
+		if !slices.Contains(out, x.Name) {
+			out = append(out, x.Name)
+		}
+	case *VBin:
+		out = scalarReads(x.R, scalarReads(x.L, out))
+	case *VNeg:
+		out = scalarReads(x.X, out)
+	case *VCall:
+		for _, arg := range x.Args {
+			out = scalarReads(arg, out)
+		}
+	}
+	return out
+}
+
+// topoOrder orders the statements so that every statement follows the
+// ones it depends on, preferring body order; ok is false on a cycle.
+func topoOrder(deps [][]int) (order []int, ok bool) {
+	state := make([]uint8, len(deps)) // 0 new, 1 on the path, 2 done
+	var visit func(k int) bool
+	visit = func(k int) bool {
+		switch state[k] {
+		case 1:
+			return false
+		case 2:
+			return true
+		}
+		state[k] = 1
+		for _, j := range deps[k] {
+			if !visit(j) {
+				return false
+			}
+		}
+		state[k] = 2
+		order = append(order, k)
+		return true
+	}
+	for k := range deps {
+		if !visit(k) {
+			return nil, false
+		}
+	}
+	return order, true
+}
+
+// addStore records statement k's store; false when its array is not
+// declared at the subscripts' rank.
+func (bp *blockPlanner) addStore(k int, a *Assign) bool {
+	d := bp.p.Decl(a.Array)
+	if d == nil || len(a.Subs) != d.B.Rank() {
+		return false
+	}
+	bp.stores = append(bp.stores, blockStore{stmt: k, array: a.Array, subs: a.Subs, indirect: !affine(nil, a.Subs...)})
+	return true
+}
+
+// storesOrdered reports whether running each store for a whole block,
+// in body order, leaves every element as element order does: for
+// stores S_a before S_b of one array, S_b must never write at t − e,
+// 1 ≤ e < limit, the element S_a writes at t.
+func (bp *blockPlanner) storesOrdered() bool {
+	for i := range bp.stores {
+		sa := &bp.stores[i]
+		for j := i + 1; j < len(bp.stores); j++ {
+			sb := &bp.stores[j]
+			if sa.array != sb.array {
+				continue
+			}
+			wa, _ := bp.form(sa)
+			wb, ws := bp.form(sb)
+			if wa == nil || wb == nil {
+				return false
+			}
+			e, never, ok := lag(wb, wa, ws)
+			if !never && (!ok || e >= 1 && e < bp.limit) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// lag is how many iterations before the access r the store w (stride
+// ws) writes r's element. never reports that no iteration's store
+// writes it; ok is false when the lag is not one constant.
+func lag(w, r *linForm, ws int64) (e int64, never, ok bool) {
+	if w == nil || r == nil || len(r.t) != len(w.t) {
+		return 0, false, false
+	}
+	for v, k := range w.t {
+		if r.t[v] != k {
+			return 0, false, false
+		}
+	}
+	delta := r.c - w.c
+	switch {
+	case ws == 0:
+		return 0, delta != 0, delta != 0
+	case delta%ws != 0:
+		return 0, true, true
+	}
+	return -delta / ws, false, true
 }
 
 // blockStores reports whether a block can perform a's store itself:
 // a plain, unchecked, untracked store at an affine offset.
 func blockStores(p *Program, a *Assign) bool {
 	d := p.Decl(a.Array)
-	return a.Accumulate == nil && !a.CheckBounds && !a.CheckCollision &&
+	return d != nil && a.Accumulate == nil && !a.CheckBounds && !a.CheckCollision &&
 		(!d.TrackDefs || a.NoTrack) && affine(a.Off, a.Subs...)
 }
 
@@ -150,8 +423,19 @@ func (bp *blockPlanner) collect(e VExpr, out *[]VExpr) bool {
 		return true
 	case *VScalar:
 		return slices.Contains(bp.p.Scalars, x.Name)
+	case *VFromInt:
+		return affine(nil, x.X)
 	case *ARef:
-		return bp.leafOK(x)
+		for _, v := range bp.leaves {
+			if v.r == x {
+				return v.ok
+			}
+		}
+		ok := bp.leafOK(x)
+		if bp.leaves != nil {
+			bp.leaves = append(bp.leaves, leafVerdict{x, ok})
+		}
+		return ok
 	case *VBin:
 		kids = []VExpr{x.L, x.R}
 	case *VNeg:
@@ -181,6 +465,12 @@ func (bp *blockPlanner) collect(e VExpr, out *[]VExpr) bool {
 	return false
 }
 
+// hoistable reports whether e can be evaluated a block at a time.
+func (bp *blockPlanner) hoistable(e VExpr) bool {
+	var discard []VExpr
+	return bp.collect(e, &discard)
+}
+
 // leafOK reports whether an array read can be a block leaf.
 func (bp *blockPlanner) leafOK(r *ARef) bool {
 	if r.CheckBounds || r.CheckDefined {
@@ -194,7 +484,7 @@ func (bp *blockPlanner) leafOK(r *ARef) bool {
 		return bp.readOK(d, r.Subs)
 	}
 	g := gatherIndex(r)
-	if g == nil || r.Array == bp.a.Array {
+	if g == nil || bp.stored(r.Array) {
 		return false
 	}
 	gd := bp.p.Decl(g.Array)
@@ -204,31 +494,103 @@ func (bp *blockPlanner) leafOK(r *ARef) bool {
 	return bp.readOK(gd, g.Subs)
 }
 
-// readOK applies the distance rule to an affine read of d at subs.
+// stored reports whether the body stores arr.
+func (bp *blockPlanner) stored(arr string) bool {
+	return slices.ContainsFunc(bp.stores, func(s blockStore) bool { return s.array == arr })
+}
+
+// readOK applies the distance rule to an affine read of d at subs by
+// statement bp.k.
 func (bp *blockPlanner) readOK(d *ArrayDecl, subs []IntExpr) bool {
-	if d.Name != bp.a.Array {
-		return true
+	var r *linForm
+	for i := range bp.stores {
+		s := &bp.stores[i]
+		if s.array != d.Name {
+			continue
+		}
+		w, ws := bp.form(s)
+		if w == nil {
+			return false // an indirect store may write anywhere
+		}
+		if r == nil {
+			r = flatAccess(d, subs)
+		}
+		e, never, ok := lag(w, r, ws)
+		switch {
+		case never:
+		case !ok:
+			return false
+		case e == 0 && s.stmt < bp.k, e > 0 && e < bp.limit:
+			return false
+		}
 	}
-	if bp.w == nil {
-		return false // an indirect store may write anywhere
+	return true
+}
+
+// spinePlan plans a's spine: the right-hand side must reach exactly one
+// leaf a block cannot evaluate, a carried read of the stored array,
+// through arithmetic and builtin nodes whose other operands can.
+func (bp *blockPlanner) spinePlan(a *Assign) *blockPlan {
+	plan := &blockPlan{shape: ShapeSpine, a: a}
+	for e := a.Rhs; ; {
+		plan.spine = append(plan.spine, e)
+		var kids []VExpr
+		switch x := e.(type) {
+		case *ARef:
+			var ok bool
+			if plan.rd, ok = bp.carried(x); !ok {
+				return nil
+			}
+			slices.Reverse(plan.hoisted)
+			return plan
+		case *VBin:
+			kids = []VExpr{x.L, x.R}
+		case *VNeg:
+			kids = []VExpr{x.X}
+		case *VCall:
+			if b := runtime.LookupBuiltin(x.Fn); b == nil || len(x.Args) != b.Arity {
+				return nil
+			}
+			kids = x.Args
+		default:
+			return nil
+		}
+		next := -1
+		for i, k := range kids {
+			if !bp.hoistable(k) {
+				if next >= 0 {
+					return nil // two carried operands
+				}
+				next = i
+			}
+		}
+		if next < 0 {
+			return nil
+		}
+		for i, k := range kids {
+			if i != next {
+				plan.hoisted = append(plan.hoisted, k)
+			}
+		}
+		e = kids[next]
 	}
-	delta := flatAccess(d, subs)
-	delta.c -= bp.w.c
-	for v, k := range bp.w.t {
-		delta.addTerm(v, -k)
+}
+
+// carried reports whether r is a spine leaf, an unchecked affine read
+// of the body's one store's element d iterations back, 1 ≤ d < limit,
+// and returns its offset from the store's.
+func (bp *blockPlanner) carried(r *ARef) (int64, bool) {
+	s := &bp.stores[0]
+	if r.Array != s.array || r.CheckBounds || r.CheckDefined || s.indirect || !affine(r.Off, r.Subs...) {
+		return 0, false
 	}
-	if len(delta.t) != 0 {
-		return false // the distance is not a constant
+	w, ws := bp.form(s)
+	rf := flatAccess(bp.p.Decl(r.Array), r.Subs)
+	e, never, ok := lag(w, rf, ws)
+	if !ok || never || e < 1 || e >= bp.limit {
+		return 0, false
 	}
-	ws := offsetStride(bp.x, bp.p.Decl(bp.a.Array), bp.a.Subs, nil)
-	if ws == 0 {
-		return delta.c != 0
-	}
-	if delta.c%ws != 0 {
-		return true // never the element of any iteration's store
-	}
-	dist := -delta.c / ws
-	return dist <= 0 || dist >= bp.limit
+	return rf.c - w.c, true
 }
 
 // affine reports that off (when not nil) and every subscript are
@@ -410,6 +772,12 @@ func readsArray(e VExpr, arr string) bool {
 // slice and the one value every iteration shares.
 type bfn func(f *frame, m int) ([]float64, float64)
 
+// blockVal is one value of the running block, as a bfn returns it.
+type blockVal struct {
+	v []float64
+	s float64
+}
+
 // vScratch reads hoisted subtree values at the current block index
 // (frame.bi). It appears only in the residual of a block kernel,
 // never in a Program.
@@ -426,11 +794,18 @@ func (f *frame) blockBuf(k, m int) []float64 {
 	return f.scratch[k*blockLen : k*blockLen+m]
 }
 
-// blockCompiler compiles one loop's hoisted subtrees.
+// blockCompiler compiles one loop's block operations.
 type blockCompiler struct {
 	c     *compiler
 	x     *Loop
 	slots int // scratch slots used
+	vals  int // frame.vals entries used
+	// A phase plan's body scalars: the statement assigning each, the
+	// scratch slot of each one read as a carry, and the carries of the
+	// statement being compiled.
+	scalars map[string]int
+	carries map[string]int
+	carried []string
 }
 
 // leafStride is the per-iteration stride of a leaf's compiled offset.
@@ -439,8 +814,9 @@ func (bc *blockCompiler) leafStride(arr string, subs []IntExpr, off IntExpr) int
 }
 
 // bufferless reports whether e's block value never occupies a scratch
-// slot: constants, scalars, and affine reads that are a subslice of
-// their array or one element of it.
+// slot of its own: constants, scalars (a body scalar's vector lives in
+// its statement's slot or carry slot), and affine reads that are a
+// subslice of their array or one element of it.
 func (bc *blockCompiler) bufferless(e VExpr) bool {
 	switch x := e.(type) {
 	case *VConst, *VScalar:
@@ -466,8 +842,33 @@ func (bc *blockCompiler) expr(e VExpr, out, free int) bfn {
 		v := x.Value
 		return func(*frame, int) ([]float64, float64) { return nil, v }
 	case *VScalar:
+		if k, ok := bc.scalars[x.Name]; ok {
+			if slices.Contains(bc.carried, x.Name) {
+				slot := bc.carries[x.Name]
+				return func(f *frame, m int) ([]float64, float64) { return f.blockBuf(slot, m), 0 }
+			}
+			return func(f *frame, m int) ([]float64, float64) {
+				if v := f.vals[k]; v.v != nil {
+					return v.v[:m], 0
+				}
+				return nil, f.vals[k].s
+			}
+		}
 		slot := c.floatSlots[x.Name]
 		return func(f *frame, _ int) ([]float64, float64) { return nil, f.floats[slot] }
+	case *VFromInt:
+		at, s := c.compileInt(x.X), iterStride(bc.x, x.X)
+		if s == 0 {
+			return func(f *frame, _ int) ([]float64, float64) { return nil, float64(at(f)) }
+		}
+		return func(f *frame, m int) ([]float64, float64) {
+			v, dst := at(f), f.blockBuf(out, m)
+			for i := range dst {
+				dst[i] = float64(v)
+				v += s
+			}
+			return dst, 0
+		}
 	case *ARef:
 		return bc.leaf(x, out)
 	case *VNeg:
@@ -579,14 +980,8 @@ func (bc *blockCompiler) leaf(r *ARef, out int) bfn {
 			return dst, 0
 		}
 	}
-	slot, off := c.compileOffset(r.Array, r.Subs, r.Off, false)
-	win := c.windowed(slot)
-	at := func(f *frame) int64 {
-		if win {
-			return off(f) - f.shift[slot]
-		}
-		return off(f)
-	}
+	at := bc.offset(r.Array, r.Subs, r.Off)
+	slot := c.arraySlot(r.Array)
 	switch s := bc.leafStride(r.Array, r.Subs, r.Off); s {
 	case 0:
 		return func(f *frame, _ int) ([]float64, float64) { return nil, f.arrays[slot].Data[at(f)] }
@@ -606,6 +1001,16 @@ func (bc *blockCompiler) leaf(r *ARef, out int) bfn {
 			return dst, 0
 		}
 	}
+}
+
+// offset compiles an unchecked access's index into its slot's Data: the
+// array offset, less the window's shift in a stream stage.
+func (bc *blockCompiler) offset(arr string, subs []IntExpr, off IntExpr) intFn {
+	slot, fn := bc.c.compileOffset(arr, subs, off, false)
+	if bc.c.windowed(slot) {
+		return func(f *frame) int64 { return fn(f) - f.shift[slot] }
+	}
+	return fn
 }
 
 func scalarOp(op byte, l, r float64) float64 {
@@ -689,6 +1094,7 @@ func blockBin(op byte, dst, l, r []float64, ls, rs float64) {
 }
 
 // fillFrom stores a block value into dst unless it is already there.
+// An overlapping source is read as it was before the store.
 func fillFrom(dst, v []float64, s float64) {
 	switch {
 	case v == nil:
@@ -700,80 +1106,47 @@ func fillFrom(dst, v []float64, s float64) {
 	}
 }
 
-// --- the block kernel ---
+// storeTo stores a block value at o, o+ws, … of data.
+func storeTo(data []float64, o, ws int64, v blockVal, m int) {
+	if ws == 1 {
+		fillFrom(data[o:o+int64(m)], v.v, v.s)
+		return
+	}
+	for i := range m {
+		s := v.s
+		if v.v != nil {
+			s = v.v[i]
+		}
+		data[o] = s
+		o += ws
+	}
+}
 
-// compileBlockLoop compiles x's block kernel, or returns nil when
-// planBlock hoists nothing. elem is x's element kernel, which runs
-// ranges shorter than minBlock.
-func (c *compiler) compileBlockLoop(x *Loop, l *cLoop, elem rangeFn) rangeFn {
+// --- the block kernels ---
+
+// compileBlockLoop compiles x's block kernel and names its shape, or
+// returns nil when planBlock finds none. elem is x's element kernel,
+// which runs ranges shorter than minBlock.
+func (c *compiler) compileBlockLoop(x *Loop, l *cLoop, elem rangeFn) (rangeFn, string) {
 	if noBlockKernels {
-		return nil
+		return nil, ""
 	}
 	plan := planBlock(c.prog, x)
 	if plan == nil {
-		return nil
+		return nil, ""
 	}
-	a := plan.a
 	bc := &blockCompiler{c: c, x: x}
-	n := len(plan.hoisted)
-	bc.slots = n
-	rootOnly := plan.hoisted[0] == a.Rhs
-	// A block that stores its own result writes it straight into the
-	// destination when that is a unit-stride slice no hoisted read
-	// sees; otherwise it goes through slot 0.
 	var block func(f *frame, m int)
 	var resid rangeFn
-	if rootOnly && blockStores(c.prog, a) {
-		dSlot, dOff := c.compileOffset(a.Array, a.Subs, a.Off, false)
-		win := c.windowed(dSlot)
-		ws := bc.leafStride(a.Array, a.Subs, a.Off)
-		direct := ws == 1 && !readsArray(a.Rhs, a.Array)
-		out := 0
-		if direct {
-			out = -1
-		}
-		root := bc.expr(a.Rhs, out, n)
-		block = func(f *frame, m int) {
-			data, o := f.arrays[dSlot].Data, dOff(f)
-			if win {
-				o -= f.shift[dSlot]
-			}
-			if direct {
-				f.dst = data[o : o+int64(m)]
-				v, s := root(f, m)
-				fillFrom(f.dst, v, s)
-				f.dst = nil
-				return
-			}
-			v, s := root(f, m)
-			for i := range m {
-				if v != nil {
-					s = v[i]
-				}
-				data[o] = s
-				o += ws
-			}
-		}
-	} else {
-		evals := make([]bfn, n)
-		slots := make(map[VExpr]int, n)
-		for k, h := range plan.hoisted {
-			evals[k] = bc.expr(h, k, n)
-			slots[h] = k
-		}
-		block = func(f *frame, m int) {
-			for k, ev := range evals {
-				v, s := ev(f, m)
-				fillFrom(f.blockBuf(k, m), v, s)
-			}
-		}
-		ra := *a
-		ra.Rhs = substHoisted(a.Rhs, slots)
-		if resid = c.compileStencilLoop(x, l.inds, &ra); resid == nil {
-			resid = c.residualLoop(l, &ra)
-		}
+	switch plan.shape {
+	case ShapePhase:
+		block = bc.phases(plan)
+	case ShapeSpine:
+		block = bc.spine(plan)
+	default:
+		block, resid = bc.hoisted(plan, l)
 	}
-	need := bc.slots * blockLen
+	need, nvals := bc.slots*blockLen, bc.vals
 	return func(f *frame, t0, n int64) {
 		if n < minBlock {
 			elem(f, t0, n)
@@ -781,6 +1154,9 @@ func (c *compiler) compileBlockLoop(x *Loop, l *cLoop, elem rangeFn) rangeFn {
 		}
 		if len(f.scratch) < need {
 			f.scratch = make([]float64, need)
+		}
+		if len(f.vals) < nvals {
+			f.vals = make([]blockVal, nvals)
 		}
 		for n > 0 {
 			m := min(n, blockLen)
@@ -791,6 +1167,330 @@ func (c *compiler) compileBlockLoop(x *Loop, l *cLoop, elem rangeFn) rangeFn {
 			}
 			t0 += m
 			n -= m
+		}
+		// Drop the array subslices the block held.
+		clear(f.vals[:nvals])
+		clear(f.spine)
+	}, plan.shape
+}
+
+// phases compiles a phase plan's block: phase 1 evaluates every
+// right-hand side into its statement's slot (or straight into the
+// destination, or as a subslice of an array) and builds the carries,
+// phase 2 sets the body scalars' registers, phase 3 runs the stores.
+func (bc *blockCompiler) phases(plan *blockPlan) func(*frame, int) {
+	c := bc.c
+	body := plan.body
+	nb := len(body)
+	type stmt struct {
+		eval  bfn
+		reg   int   // float register of a SetScalar, or -1
+		carry int   // scratch slot of its carry, or -1
+		at    intFn // store offset of an Assign
+		slot  int   // array slot of an Assign
+		ws    int64
+		store bool // the store runs in phase 3
+		// direct evaluates into the destination in phase 1; copyOut
+		// copies a value that may alias an array an earlier statement
+		// stores into the statement's slot before phase 3.
+		direct, copyOut bool
+	}
+	stmts := make([]stmt, nb)
+	for k, s := range body {
+		stmts[k].reg, stmts[k].carry = -1, -1
+		if ss, ok := s.(*SetScalar); ok {
+			if bc.scalars == nil {
+				bc.scalars = map[string]int{}
+			}
+			bc.scalars[ss.Name] = k
+			stmts[k].reg = c.floatSlots[ss.Name]
+		}
+	}
+	// Statement k's value takes slot k; carries take the next slots,
+	// in order of first use; subtrees share the slots after those.
+	free := nb
+	for _, names := range plan.carry {
+		for _, name := range names {
+			if _, ok := bc.carries[name]; !ok {
+				if bc.carries == nil {
+					bc.carries = map[string]int{}
+				}
+				bc.carries[name] = free
+				stmts[bc.scalars[name]].carry = free
+				free++
+			}
+		}
+	}
+	bc.slots, bc.vals = free, nb
+	for k, s := range body {
+		st := &stmts[k]
+		out := k
+		if x, ok := s.(*Assign); ok {
+			if c.prog.Arrays[c.arraySlot(x.Array)].Role == RoleIn {
+				c.fail("assignment to input array %q", x.Array)
+			}
+			st.slot = c.arraySlot(x.Array)
+			st.at = bc.offset(x.Array, x.Subs, x.Off)
+			st.ws = bc.leafStride(x.Array, x.Subs, x.Off)
+			st.direct = st.ws == 1 && bc.soleAccess(plan, k, x.Array)
+			st.store = !st.direct
+			for _, prev := range body[:k] {
+				if pa, ok := prev.(*Assign); ok && bc.mayAlias(plan, k, pa.Array) {
+					st.copyOut = true
+				}
+			}
+			if st.direct {
+				out = -1
+			}
+		}
+		bc.carried = plan.carry[k]
+		st.eval = bc.expr(stmtRhs(s), out, free)
+	}
+	order := plan.order
+	return func(f *frame, m int) {
+		// Phase 1.
+		for _, k := range order {
+			st := &stmts[k]
+			if st.direct {
+				f.dst = f.arrays[st.slot].Data[st.at(f):]
+				v, s := st.eval(f, m)
+				fillFrom(f.dst[:m], v, s)
+				f.dst = nil
+				continue
+			}
+			v, s := st.eval(f, m)
+			if st.copyOut && v != nil {
+				buf := f.blockBuf(k, m)
+				fillFrom(buf, v, 0)
+				v = buf
+			}
+			f.vals[k] = blockVal{v, s}
+			if st.carry >= 0 {
+				buf := f.blockBuf(st.carry, m)
+				buf[0] = f.floats[st.reg]
+				if v == nil {
+					fillFrom(buf[1:], nil, s)
+				} else {
+					copy(buf[1:], v[:m-1])
+				}
+			}
+		}
+		// Phase 2.
+		for k := range stmts {
+			if st := &stmts[k]; st.reg >= 0 {
+				v := f.vals[k]
+				if v.v != nil {
+					v.s = v.v[m-1]
+				}
+				f.floats[st.reg] = v.s
+			}
+		}
+		// Phase 3.
+		for k := range stmts {
+			if st := &stmts[k]; st.store {
+				storeTo(f.arrays[st.slot].Data, st.at(f), st.ws, f.vals[k], m)
+			}
+		}
+	}
+}
+
+// soleAccess reports whether statement k's store is the plan's only
+// access to arr, so the block may write arr while it evaluates.
+func (bc *blockCompiler) soleAccess(plan *blockPlan, k int, arr string) bool {
+	for j, s := range plan.body {
+		if a, ok := s.(*Assign); ok && j != k && a.Array == arr {
+			return false
+		}
+		if readsArray(stmtRhs(s), arr) {
+			return false
+		}
+	}
+	return true
+}
+
+// mayAlias reports whether statement k's value may be a subslice of
+// arr: a unit-stride read, directly or through same-iteration scalars.
+func (bc *blockCompiler) mayAlias(plan *blockPlan, k int, arr string) bool {
+	switch x := stmtRhs(plan.body[k]).(type) {
+	case *ARef:
+		return x.Array == arr && gatherIndex(x) == nil && bc.leafStride(x.Array, x.Subs, x.Off) == 1
+	case *VScalar:
+		j, ok := bc.scalars[x.Name]
+		return ok && !slices.Contains(plan.carry[k], x.Name) && bc.mayAlias(plan, j, arr)
+	}
+	return false
+}
+
+// hoisted compiles a single-store block plan: the hoisted subtrees
+// into scratch, and the residual store that reads them per element.
+func (bc *blockCompiler) hoisted(plan *blockPlan, l *cLoop) (func(*frame, int), rangeFn) {
+	c, a, x := bc.c, plan.a, bc.x
+	n := len(plan.hoisted)
+	bc.slots = n
+	evals := make([]bfn, n)
+	slots := make(map[VExpr]int, n)
+	for k, h := range plan.hoisted {
+		evals[k] = bc.expr(h, k, n)
+		slots[h] = k
+	}
+	block := func(f *frame, m int) {
+		for k, ev := range evals {
+			v, s := ev(f, m)
+			fillFrom(f.blockBuf(k, m), v, s)
+		}
+	}
+	ra := *a
+	ra.Rhs = substHoisted(a.Rhs, slots)
+	resid := c.compileStencilLoop(x, l.inds, &ra)
+	if resid == nil {
+		resid = c.residualLoop(l, &ra)
+	}
+	return block, resid
+}
+
+// Spine op codes: the carried value v meets the operand x (a block
+// vector) on the side the name says, so -L is x − v and -R is v − x.
+const (
+	spAddL uint8 = iota
+	spAddR
+	spSubL
+	spSubR
+	spMulL
+	spMulR
+	spDivL
+	spDivR
+	spNeg
+	spCall1
+	spCallL // fn(x, v)
+	spCallR // fn(v, x)
+)
+
+// spineBin is the op code of a binary node whose operand is on the
+// left or the right.
+func spineBin(op byte, left bool) uint8 {
+	code := spDivL
+	switch op {
+	case '+':
+		code = spAddL
+	case '-':
+		code = spSubL
+	case '*':
+		code = spMulL
+	}
+	if !left {
+		code++
+	}
+	return code
+}
+
+// spineOp is one node of a spine, from the carried leaf up. A frame's
+// copy (frame.spine) holds the running block's operand vector in x.
+type spineOp struct {
+	code uint8
+	arg  int // the operand's index in the spine's operand list, or -1
+	fn   func(a, b float64) float64
+	x    []float64
+}
+
+// spine compiles a spine plan's block: the operands a block at a time,
+// then the op list element by element. When the carried read is one
+// iteration back, the value just stored stays in the local register.
+func (bc *blockCompiler) spine(plan *blockPlan) func(*frame, int) {
+	c, a := bc.c, plan.a
+	path := plan.spine
+	var ops []spineOp
+	var operands []VExpr
+	operand := func(e VExpr) int {
+		operands = append(operands, e)
+		return len(operands) - 1
+	}
+	for i := len(path) - 2; i >= 0; i-- {
+		child := path[i+1]
+		switch x := path[i].(type) {
+		case *VBin:
+			left := x.R == child // the operand is the left one
+			other := x.L
+			if !left {
+				other = x.R
+			}
+			ops = append(ops, spineOp{code: spineBin(x.Op, left), arg: operand(other)})
+		case *VNeg:
+			ops = append(ops, spineOp{code: spNeg, arg: -1})
+		case *VCall:
+			fn := c.builtin(x).Apply
+			switch {
+			case len(x.Args) == 1:
+				ops = append(ops, spineOp{code: spCall1, arg: -1, fn: fn})
+			case x.Args[1] == child:
+				ops = append(ops, spineOp{code: spCallL, arg: operand(x.Args[0]), fn: fn})
+			default:
+				ops = append(ops, spineOp{code: spCallR, arg: operand(x.Args[1]), fn: fn})
+			}
+		}
+	}
+	n := len(operands)
+	bc.slots = n
+	evals := make([]bfn, n)
+	for k, e := range operands {
+		evals[k] = bc.expr(e, k, n)
+	}
+	rd := plan.rd
+	slot := c.arraySlot(a.Array)
+	at := bc.offset(a.Array, a.Subs, a.Off)
+	ws := bc.leafStride(a.Array, a.Subs, a.Off)
+	carry1 := rd == -ws
+	return func(f *frame, m int) {
+		f.spine = append(f.spine[:0], ops...)
+		for j := range f.spine {
+			op := &f.spine[j]
+			if op.arg < 0 {
+				continue
+			}
+			v, s := evals[op.arg](f, m)
+			if v == nil {
+				v = f.blockBuf(op.arg, m)
+				fillFrom(v, nil, s)
+			}
+			op.x = v[:m]
+		}
+		ops := f.spine
+		data, o := f.arrays[slot].Data, at(f)
+		v := data[o+rd]
+		for i := range m {
+			if !carry1 {
+				v = data[o+rd]
+			}
+			for j := range ops {
+				op := &ops[j]
+				switch op.code {
+				case spAddL:
+					v = op.x[i] + v
+				case spAddR:
+					v = v + op.x[i]
+				case spSubL:
+					v = op.x[i] - v
+				case spSubR:
+					v = v - op.x[i]
+				case spMulL:
+					v = op.x[i] * v
+				case spMulR:
+					v = v * op.x[i]
+				case spDivL:
+					v = op.x[i] / v
+				case spDivR:
+					v = v / op.x[i]
+				case spNeg:
+					v = -v
+				case spCall1:
+					v = op.fn(v, 0)
+				case spCallL:
+					v = op.fn(op.x[i], v)
+				default:
+					v = op.fn(v, op.x[i])
+				}
+			}
+			data[o] = v
+			o += ws
 		}
 	}
 }

@@ -73,6 +73,9 @@ type Counters struct {
 	// SchedulesByKind counts compiled loops by execution shape:
 	// "sequential", "shard", "tile", "wavefront", "chains".
 	SchedulesByKind map[string]int `json:"schedules_by_kind,omitempty"`
+	// KernelsByShape counts compiled loops by range-kernel shape:
+	// "phase", "block", "spine", "stencil", "generic".
+	KernelsByShape map[string]int `json:"kernels_by_shape,omitempty"`
 	// ClaimsCertified/ClaimsFalsified/ClaimsSkipped tally the -certify
 	// audit outcomes across the analysis, schedule, and plan layers
 	// (all zero unless certification ran).
@@ -93,6 +96,16 @@ func (c *Counters) AddSchedule(kind string) {
 		c.SchedulesByKind = map[string]int{}
 	}
 	c.SchedulesByKind[kind]++
+}
+
+// AddKernels adds a compiled program's loop counts by kernel shape.
+func (c *Counters) AddKernels(byShape map[string]int) {
+	for shape, n := range byShape {
+		if c.KernelsByShape == nil {
+			c.KernelsByShape = map[string]int{}
+		}
+		c.KernelsByShape[shape] += n
+	}
 }
 
 // CompileReport is the instrumentation record of one Compile: where
@@ -151,16 +164,24 @@ func (r *CompileReport) String() string {
 			c.ClaimsCertified, c.ClaimsFalsified, c.ClaimsSkipped)
 	}
 	if len(c.SchedulesByKind) > 0 {
-		kinds := make([]string, 0, len(c.SchedulesByKind))
-		for k := range c.SchedulesByKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		var parts []string
-		for _, k := range kinds {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, c.SchedulesByKind[k]))
-		}
-		fmt.Fprintf(&b, "  schedules                %s\n", strings.Join(parts, " "))
+		fmt.Fprintf(&b, "  schedules                %s\n", countList(c.SchedulesByKind))
+	}
+	if len(c.KernelsByShape) > 0 {
+		fmt.Fprintf(&b, "  kernels                  %s\n", countList(c.KernelsByShape))
 	}
 	return b.String()
+}
+
+// countList renders counts as sorted key=n pairs.
+func countList(counts map[string]int) string {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%s=%d", k, counts[k])
+	}
+	return strings.Join(parts, " ")
 }

@@ -23,6 +23,7 @@ import (
 	"arraycomp/internal/core"
 	"arraycomp/internal/gencomp"
 	"arraycomp/internal/lang"
+	"arraycomp/internal/loopir"
 	"arraycomp/internal/runtime"
 )
 
@@ -155,6 +156,9 @@ type Case struct {
 	// sweeps can count how often the window analysis admits generated
 	// programs.
 	StreamEngaged bool
+	// Kernels counts the full arm's compiled loops by range-kernel
+	// shape (loopir.ShapePhase, …).
+	Kernels map[string]int
 
 	// fullProg retains the full-configuration compile for gogen
 	// emission and native adoption.
@@ -312,6 +316,7 @@ func runOnce(p *gencomp.Program, opts core.Options, inputs map[string]*runtime.S
 	if abName == "full" {
 		c.fullProg = prog
 		c.GogenEligible = gogenEligible(prog)
+		c.Kernels = prog.Stats.Counters.KernelsByShape
 	}
 	if abName == "stream" {
 		c.StreamEngaged = prog.StreamActive()
@@ -407,6 +412,11 @@ type Summary struct {
 	// StreamEngaged counts cases where the stream arm ran the chunked
 	// pipeline rather than the materialized fallback.
 	StreamEngaged int
+	// BlockEngaged counts cases whose full arm compiled a block kernel
+	// (phase, block or spine), and Kernels the loops per kernel shape
+	// across the corpus.
+	BlockEngaged int
+	Kernels      map[string]int
 	// Failures lists every case with at least one mismatch.
 	Failures []*Case
 }
@@ -416,19 +426,36 @@ type AblationStats struct {
 	OK, Err, Mismatch int
 }
 
+// Every wideEvery-th seed draws its program with extents up to
+// wideExtent (unless the caller set MaxExtent), so its loops reach the
+// block kernels' 16-iteration floor, which the default extents of at
+// most 6 never do.
+const (
+	wideEvery  = 3
+	wideExtent = 64
+)
+
+// GenConfig is the generator configuration RunSeeds uses for seed.
+func GenConfig(seed uint64, cfg gencomp.Config) gencomp.Config {
+	if cfg.MaxExtent == 0 && seed%wideEvery == 0 {
+		cfg.MaxExtent = wideExtent
+	}
+	return cfg
+}
+
 // RunSeeds runs the oracle over a seed range. When withGogen is set the
 // gogen-eligible cases are additionally emitted as one Go program and
 // cross-checked via `go run` (a single toolchain invocation for the
 // whole corpus). When withNative is set the eligible cases also run
 // through the native execution tier (one batched plugin/exec build).
 func RunSeeds(seeds []uint64, cfg gencomp.Config, withGogen, withNative bool) *Summary {
-	s := &Summary{PerAblation: map[string]*AblationStats{}}
+	s := &Summary{PerAblation: map[string]*AblationStats{}, Kernels: map[string]int{}}
 	for _, ab := range Ablations() {
 		s.PerAblation[ab.Name] = &AblationStats{}
 	}
 	var cases []*Case
 	for _, seed := range seeds {
-		c := RunCase(gencomp.Generate(seed, cfg))
+		c := RunCase(gencomp.Generate(seed, GenConfig(seed, cfg)))
 		cases = append(cases, c)
 		s.Programs++
 		for name, out := range c.ByAblation {
@@ -448,6 +475,12 @@ func RunSeeds(seeds []uint64, cfg gencomp.Config, withGogen, withNative bool) *S
 		s.IdxFailed += c.IdxFailed
 		if c.StreamEngaged {
 			s.StreamEngaged++
+		}
+		for shape, n := range c.Kernels {
+			s.Kernels[shape] += n
+		}
+		if c.Kernels[loopir.ShapePhase]+c.Kernels[loopir.ShapeBlock]+c.Kernels[loopir.ShapeSpine] > 0 {
+			s.BlockEngaged++
 		}
 	}
 	if withGogen {
@@ -515,6 +548,8 @@ func (s *Summary) String() string {
 		fmt.Fprintf(&b, "  %-12s verified %d  failed %d\n", "idx-verify", s.IdxVerified, s.IdxFailed)
 	}
 	fmt.Fprintf(&b, "  %-12s engaged %d\n", "stream", s.StreamEngaged)
+	fmt.Fprintf(&b, "  %-12s engaged %d  (loops: phase %d, block %d, spine %d)\n", "block", s.BlockEngaged,
+		s.Kernels[loopir.ShapePhase], s.Kernels[loopir.ShapeBlock], s.Kernels[loopir.ShapeSpine])
 	fmt.Fprintf(&b, "failures: %d\n", len(s.Failures))
 	return b.String()
 }

@@ -9,6 +9,7 @@ import (
 	"arraycomp/internal/core"
 	"arraycomp/internal/gencomp"
 	"arraycomp/internal/lang"
+	"arraycomp/internal/loopir"
 	"arraycomp/internal/parser"
 	"arraycomp/internal/runtime"
 )
@@ -54,6 +55,11 @@ func TestOracleGenerated(t *testing.T) {
 	}
 	if s.StreamEngaged < 20 {
 		t.Errorf("only %d cases engaged the streaming pipeline", s.StreamEngaged)
+	}
+	// The wide-extent share must reach the block kernels' shapes that
+	// carry values across iterations, or the oracle never checks them.
+	if s.Kernels[loopir.ShapePhase] < 5 || s.Kernels[loopir.ShapeSpine] < 5 {
+		t.Errorf("block kernels barely reached: %d phase and %d spine loops", s.Kernels[loopir.ShapePhase], s.Kernels[loopir.ShapeSpine])
 	}
 	if s.NativeRan != s.NativeAgreed {
 		t.Errorf("native: %d ran but only %d agreed", s.NativeRan, s.NativeAgreed)

@@ -64,7 +64,7 @@ func TestReusedWindowKeepsHistory(t *testing.T) {
 		first, second := make(chan *chunkMsg), make(chan *chunkMsg)
 		done := make(chan error, 1)
 		go func() {
-			done <- p.runStage(0, inputs, nil, []chan *chunkMsg{first, second}, &accountant{}, make(chan struct{}))
+			done <- p.runStage(0, inputs, nil, []chan *chunkMsg{first, second}, &accountant{}, newGate(1), make(chan struct{}))
 		}()
 		got := make([]float64, hi-lo+1)
 		for range p.nCh {

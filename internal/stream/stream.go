@@ -36,6 +36,7 @@ package stream
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 
@@ -70,6 +71,9 @@ type Config struct {
 	// ChanDepth is the per-edge channel capacity beyond the lookahead
 	// requirement (0 = defaultChanDepth).
 	ChanDepth int
+	// Workers bounds how many stages compute a chunk at once; 0 means
+	// GOMAXPROCS, read when each run starts.
+	Workers int
 }
 
 // Report is the outcome accounting of one pipeline run.
@@ -95,6 +99,10 @@ type Report struct {
 	Stages int
 	// MaxDist is the largest window distance in the pipeline.
 	MaxDist int64
+	// Workers is the run's worker budget, and PeakComputing the
+	// observed high-water mark of stages computing a chunk at once
+	// (never above Workers).
+	Workers, PeakComputing int
 }
 
 // Pipeline is a compiled streaming pipeline: per-stage compiled
@@ -106,8 +114,10 @@ type Pipeline struct {
 	result int // index of the result stage
 	chunk  int64
 	depth  int
-	nCh    int64 // grid chunk count
-	gridLo int64
+	// workers is Config.Workers: 0 resolves to GOMAXPROCS per run.
+	workers int
+	nCh     int64 // grid chunk count
+	gridLo  int64
 	// edges[i] lists stage i's upstream edges.
 	edges [][]edgeSpec
 	// consumers[i] counts stage i's downstream readers (excluding the
@@ -152,6 +162,7 @@ func Build(defs []Def, result string, cfg Config) (*Pipeline, error) {
 		defs:          defs,
 		chunk:         cfg.ChunkSize,
 		depth:         cfg.ChanDepth,
+		workers:       cfg.Workers,
 		result:        -1,
 		residentNames: map[string]runtime.Bounds{},
 	}
@@ -348,6 +359,33 @@ func (a *accountant) charge(b int64) {
 
 func (a *accountant) release(b int64) { a.cur.Add(-b) }
 
+// gate bounds how many stages compute a chunk at once. A stage holds a
+// token only while it runs a chunk's loops, never across a channel
+// send or receive, so back-pressure cannot deadlock on the gate: every
+// holder finishes its chunk and returns the token.
+type gate struct {
+	tokens     chan struct{}
+	busy, peak atomic.Int64
+}
+
+func newGate(workers int) *gate { return &gate{tokens: make(chan struct{}, workers)} }
+
+func (g *gate) enter() {
+	g.tokens <- struct{}{}
+	b := g.busy.Add(1)
+	for {
+		pk := g.peak.Load()
+		if b <= pk || g.peak.CompareAndSwap(pk, b) {
+			return
+		}
+	}
+}
+
+func (g *gate) exit() {
+	g.busy.Add(-1)
+	<-g.tokens
+}
+
 // chunkMsg is one emitted chunk: a read-only view of the producer's
 // window over [start, start+len(data)), refcounted across receivers.
 type chunkMsg struct {
@@ -382,7 +420,13 @@ type runEdge struct {
 // non-nil, receives result chunks in order.
 func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []float64) error, collect bool) (*runtime.Strict, Report, error) {
 	acct := &accountant{}
+	workers := p.workers
+	if workers <= 0 {
+		workers = goruntime.GOMAXPROCS(0)
+	}
+	g := newGate(workers)
 	rep := Report{
+		Workers:           workers,
 		BoundBytes:        p.boundBytes,
 		MaterializedBytes: p.matBytes,
 		Chunks:            p.nCh,
@@ -438,7 +482,7 @@ func (p *Pipeline) run(inputs map[string]*runtime.Strict, emit func(int64, []flo
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			if err := p.runStage(si, inputs, chans[si], outs[si], acct, abortCh); err != nil {
+			if err := p.runStage(si, inputs, chans[si], outs[si], acct, g, abortCh); err != nil {
 				abort(err)
 			}
 		}(i)
@@ -474,6 +518,7 @@ collector:
 	}
 	wg.Wait()
 	rep.PeakBytes = acct.peak.Load()
+	rep.PeakComputing = int(g.peak.Load())
 	if abortErr != nil {
 		return nil, rep, abortErr
 	}
@@ -481,7 +526,7 @@ collector:
 }
 
 // runStage walks the chunk grid for one stage.
-func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*runEdge, outs []chan *chunkMsg, acct *accountant, abortCh <-chan struct{}) error {
+func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*runEdge, outs []chan *chunkMsg, acct *accountant, g *gate, abortCh <-chan struct{}) error {
 	plan := p.defs[si].Plan
 	C := p.chunk
 	// Own output window: [clo-SelfBack, chi], zero-initialized like a
@@ -592,7 +637,10 @@ func (p *Pipeline) runStage(si int, inputs map[string]*runtime.Strict, edges []*
 		}
 		// Execute the chunk: top-level statements in program order,
 		// loops clamped to write positions inside [clo, chi].
-		if err := run.Chunk(clo, chi); err != nil {
+		g.enter()
+		err := run.Chunk(clo, chi)
+		g.exit()
+		if err != nil {
 			return fmt.Errorf("stream: stage %s: %w", p.defs[si].Name, err)
 		}
 		for _, e := range edges {

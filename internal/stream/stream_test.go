@@ -2,7 +2,9 @@ package stream_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -518,5 +520,54 @@ func TestCoreStreamCertify(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no stream note in %v", p.Notes)
+	}
+}
+
+// TestStreamWorkerBudget: at most Workers stages compute a chunk at
+// once, the output stays bitwise that of the materialized run, and the
+// observed peak stays under the static bound. Workers 0 resolves to
+// GOMAXPROCS when the run starts.
+func TestStreamWorkerBudget(t *testing.T) {
+	const lo, hi = 1, 1<<16 + 5
+	x := fill(b1(lo, hi), 3)
+	inputs := map[string]*runtime.Strict{"x": x}
+	var defs []stream.Def
+	src := "x"
+	for s := 0; s < 6; s++ {
+		name := fmt.Sprintf("s%d", s)
+		if s%2 == 0 {
+			defs = append(defs, mkDef(t, name, smoothProg(name, src, lo, hi)))
+		} else {
+			defs = append(defs, mkDef(t, name, ewmaProg(name, src, lo, hi)))
+		}
+		src = name
+	}
+	want := runMaterialized(t, defs, inputs, src)
+	for _, w := range []int{1, 2, 0} {
+		pl, err := stream.Build(defs, src, stream.Config{ChunkSize: 512, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			got, rep, err := pl.Run(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := w
+			if w == 0 {
+				budget = goruntime.GOMAXPROCS(0)
+			}
+			if rep.Workers != budget || rep.PeakComputing < 1 || rep.PeakComputing > budget {
+				t.Fatalf("workers=%d: budget %d, %d stages computing at once", w, rep.Workers, rep.PeakComputing)
+			}
+			if rep.PeakBytes > rep.BoundBytes {
+				t.Fatalf("workers=%d: peak %d over bound %d", w, rep.PeakBytes, rep.BoundBytes)
+			}
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("workers=%d: element %d: streamed %v, materialized %v", w, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	}
 }
